@@ -16,14 +16,16 @@ from math import fsum
 from typing import Callable, Mapping, Sequence
 
 from . import __version__
-from .axioms import AxiomVerdict, ScenarioRejected, Swf, check_anonymity, check_no_belief_imposition, continuity_probe
+from .axioms import AxiomVerdict, ScenarioRejected, Swf
 from .geometry import ImagePolytope, image_polytope
 from .harness import (
+    AXIOM_SPECS,
     MATRIX_AXIOMS,
     preference_as_dict,
     profile_as_dict,
     run_axiom_battery,
     child_seed,
+    violation_witness,
 )
 from .measure import Coarsening, Density, TOL_EXACT
 from .prefs import (
@@ -404,27 +406,25 @@ def cmd_axiom_report(args) -> int:
 
 
 def _profile_first_check(rule: Swf, axiom: str, profile: Profile | None) -> AxiomVerdict | None:
-    """Run the supplied profile itself as scenario zero where a checker
-    accepts a bare profile; battery scenarios follow."""
+    """Run the supplied profile itself as scenario zero where an axiom's
+    check takes a bare profile (and an agent); battery scenarios follow.
+    A violation carries a battery witness, so `rerun_witness` replays it."""
     if profile is None:
         return None
-    try:
-        if axiom == "anonymity":
-            return check_anonymity(rule, profile)
-        if axiom == "no-belief-imposition":
-            for agent in profile.concerned:
-                v = check_no_belief_imposition(rule, profile, agent)
-                if not v.satisfied:
-                    return v
-            return None
-        if axiom == "continuity":
-            for agent in profile.concerned:
-                rep = continuity_probe(rule, profile, agent)
-                if rep.flagged:
-                    return AxiomVerdict("continuity", False, 1, rep.as_dict())
-            return None
-    except ScenarioRejected:
+    if axiom == "anonymity":
+        cases = [{"profile": profile}]
+    elif axiom in ("no-belief-imposition", "continuity"):
+        cases = [{"profile": profile, "agent": agent} for agent in profile.concerned]
+    else:
         return None
+    for scenario in cases:
+        try:
+            v = AXIOM_SPECS[axiom].check(rule, scenario)
+        except ScenarioRejected:
+            continue
+        if not v.satisfied:
+            witness = violation_witness(axiom, None, None, scenario, v.witness)
+            return AxiomVerdict(axiom, False, v.trials, witness, v.notes)
     return None
 
 

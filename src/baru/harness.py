@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from dataclasses import dataclass
 from math import fsum
 from typing import Callable, Mapping, Sequence
 
@@ -425,9 +426,159 @@ def continuity_scenario(rng: random.Random, twin: bool) -> tuple[Profile, int]:
 
 
 # ---------------------------------------------------------------------------
+# scenario codec (witness replay)
+
+# scenario keys holding package objects, with their JSON encoder and
+# decoder; every other key holds a plain JSON value
+_SCENARIO_CODECS: dict[str, tuple[Callable, Callable]] = {
+    "profile": (profile_as_dict, profile_from_dict),
+    "profile2": (profile_as_dict, profile_from_dict),
+    "base": (profile_as_dict, profile_from_dict),
+    "newpref": (preference_as_dict, preference_from_dict),
+    "f": (Act.as_dict, Act.from_dict),
+    "g": (Act.as_dict, Act.from_dict),
+    "coarsening": (Coarsening.as_dict, Coarsening.from_dict),
+    "outcomes": (list, tuple),
+}
+
+
+def scenario_as_dict(scenario: Mapping) -> dict:
+    return {
+        key: _SCENARIO_CODECS[key][0](v) if key in _SCENARIO_CODECS else v
+        for key, v in scenario.items()
+    }
+
+
+def scenario_from_dict(data: Mapping) -> dict:
+    return {
+        key: _SCENARIO_CODECS[key][1](v) if key in _SCENARIO_CODECS else v
+        for key, v in data.items()
+    }
+
+
+def violation_witness(
+    axiom: str, trial: int | None, seed: int | None, scenario: Mapping, detail: dict | None
+) -> dict:
+    """The JSON witness of a violated scenario; `rerun_witness` replays it."""
+    return {
+        "axiom": axiom,
+        "trial": trial,
+        "seed": seed,
+        "scenario": scenario_as_dict(scenario),
+        "detail": detail,
+    }
+
+
+# ---------------------------------------------------------------------------
+# axiom specs
+
+
+@dataclass(frozen=True)
+class AxiomSpec:
+    """One axiom's battery: `draw(rng, t, swf)` builds trial t's scenario
+    (package objects keyed as in `_SCENARIO_CODECS`) and `check(swf,
+    scenario)` judges the rule on it.  Batteries, witness replay and the
+    CLI's scenario zero all go through the same `check`."""
+
+    draw: Callable[[random.Random, int, Swf], dict]
+    check: Callable[[Swf, Mapping], AxiomVerdict]
+
+
+# The specs name the checkers inside their bodies, so each call looks the
+# checker up as a module global; a tracer that swaps those attributes sees
+# every call.
+
+
+def _draw_faithfulness(rng: random.Random, t: int, swf: Swf) -> dict:
+    space = random_space(rng)
+    return {"outcomes": space.labels, "n_agents": rng.randint(3, 5)}
+
+
+def _draw_profile_agent(rng: random.Random, t: int, swf: Swf) -> dict:
+    prof = random_profile(rng)
+    return {"profile": prof, "agent": rng.choice(prof.concerned)}
+
+
+def _draw_rm(rng: random.Random, t: int, swf: Swf) -> dict:
+    if t % 13 == 0:
+        variant = "indifferent"
+    elif t % 3 == 0:
+        variant = "tilted"
+    else:
+        variant = "aligned"
+    base, agent, newpref, f, g = rm_scenario(rng, swf, variant)
+    return {"base": base, "agent": agent, "newpref": newpref, "f": f, "g": g, "variant": variant}
+
+
+def _draw_ira(rng: random.Random, t: int, swf: Swf) -> dict:
+    variant = "merge" if t % 4 == 0 else "identity"
+    p, p2, q, outcomes = ira_scenario(rng, variant)
+    return {"profile": p, "profile2": p2, "coarsening": q, "outcomes": outcomes, "variant": variant}
+
+
+def _draw_pareto(rng: random.Random, t: int, swf: Swf) -> dict:
+    prof, f, g = pareto_scenario(rng, constant=bool(t % 2))
+    return {"profile": prof, "f": f, "g": g}
+
+
+def _draw_continuity(rng: random.Random, t: int, swf: Swf) -> dict:
+    prof, agent = continuity_scenario(rng, twin=(t % 4 == 0))
+    return {"profile": prof, "agent": agent}
+
+
+def _check_continuity(swf: Swf, sc: Mapping) -> AxiomVerdict:
+    rep = continuity_probe(swf, sc["profile"], sc["agent"])
+    return AxiomVerdict("continuity", not rep.flagged, 1, rep.as_dict() if rep.flagged else None)
+
+
+AXIOM_SPECS: dict[str, AxiomSpec] = {
+    "faithfulness": AxiomSpec(
+        _draw_faithfulness,
+        lambda swf, sc: check_faithfulness(swf, OutcomeSpace(sc["outcomes"]), sc["n_agents"]),
+    ),
+    "anonymity": AxiomSpec(
+        lambda rng, t, swf: {"profile": random_profile(rng)},
+        lambda swf, sc: check_anonymity(swf, sc["profile"]),
+    ),
+    "no-belief-imposition": AxiomSpec(
+        _draw_profile_agent,
+        lambda swf, sc: check_no_belief_imposition(swf, sc["profile"], sc["agent"]),
+    ),
+    "restricted-monotonicity": AxiomSpec(
+        _draw_rm,
+        lambda swf, sc: check_restricted_monotonicity(
+            swf, sc["base"], sc["agent"], sc["newpref"], sc["f"], sc["g"]
+        ),
+    ),
+    "independence-redundant-acts": AxiomSpec(
+        _draw_ira,
+        lambda swf, sc: check_independence_redundant_acts(
+            swf, sc["profile"], sc["profile2"], sc["coarsening"], sc["outcomes"]
+        ),
+    ),
+    "restricted-pareto": AxiomSpec(
+        _draw_pareto,
+        lambda swf, sc: check_restricted_pareto(swf, sc["profile"], sc["f"], sc["g"]),
+    ),
+    "continuity": AxiomSpec(_draw_continuity, _check_continuity),
+}
+
+
+def _spec(axiom: str) -> AxiomSpec:
+    if axiom not in AXIOM_SPECS:
+        raise ValueError(f"unknown axiom {axiom!r}")
+    return AXIOM_SPECS[axiom]
+
+
+# ---------------------------------------------------------------------------
 # batteries
 
 
+# The benchmark (perfbench/) times and traces batteries through this
+# function, so it stays a module global that `run_axiom_battery` calls by
+# name, `run_one(rng, t)` returns `(verdict, scenario)` with a
+# deterministic `repr`, `notes` reads "N scenarios rejected", and the
+# ScenarioRejected messages keep their wording.
 def _run_battery(
     axiom: str,
     trials: int,
@@ -444,128 +595,21 @@ def _run_battery(
             rejected += 1
             continue
         if not verdict.satisfied:
-            witness = {
-                "axiom": axiom,
-                "trial": t,
-                "seed": cseed,
-                "scenario": scenario,
-                "detail": verdict.witness,
-            }
+            witness = violation_witness(axiom, t, cseed, scenario, verdict.witness)
             notes = f"{rejected} scenarios rejected" if rejected else ""
             return AxiomVerdict(axiom, False, t + 1, witness, notes)
     notes = f"{rejected} scenarios rejected" if rejected else ""
     return AxiomVerdict(axiom, True, trials, None, notes)
 
 
-def battery_faithfulness(swf: Swf, trials: int, seed: int) -> AxiomVerdict:
-    def run_one(rng: random.Random, t: int) -> tuple[AxiomVerdict, dict]:
-        space = random_space(rng)
-        n = rng.randint(3, 5)
-        v = check_faithfulness(swf, space, n)
-        return v, {"outcomes": list(space.labels), "n_agents": n}
-
-    return _run_battery("faithfulness", trials, seed, run_one)
-
-
-def battery_anonymity(swf: Swf, trials: int, seed: int) -> AxiomVerdict:
-    def run_one(rng: random.Random, t: int) -> tuple[AxiomVerdict, dict]:
-        prof = random_profile(rng)
-        return check_anonymity(swf, prof), {"profile": profile_as_dict(prof)}
-
-    return _run_battery("anonymity", trials, seed, run_one)
-
-
-def battery_no_belief_imposition(swf: Swf, trials: int, seed: int) -> AxiomVerdict:
-    def run_one(rng: random.Random, t: int) -> tuple[AxiomVerdict, dict]:
-        prof = random_profile(rng)
-        agent = rng.choice(prof.concerned)
-        v = check_no_belief_imposition(swf, prof, agent)
-        return v, {"profile": profile_as_dict(prof), "agent": agent}
-
-    return _run_battery("no-belief-imposition", trials, seed, run_one)
-
-
-def battery_restricted_monotonicity(swf: Swf, trials: int, seed: int) -> AxiomVerdict:
-    def run_one(rng: random.Random, t: int) -> tuple[AxiomVerdict, dict]:
-        if t % 13 == 0:
-            variant = "indifferent"
-        elif t % 3 == 0:
-            variant = "tilted"
-        else:
-            variant = "aligned"
-        base, agent, newpref, f, g = rm_scenario(rng, swf, variant)
-        v = check_restricted_monotonicity(swf, base, agent, newpref, f, g)
-        scenario = {
-            "base": profile_as_dict(base),
-            "agent": agent,
-            "newpref": preference_as_dict(newpref),
-            "f": f.as_dict(),
-            "g": g.as_dict(),
-            "variant": variant,
-        }
-        return v, scenario
-
-    return _run_battery("restricted-monotonicity", trials, seed, run_one)
-
-
-def battery_independence_redundant_acts(swf: Swf, trials: int, seed: int) -> AxiomVerdict:
-    def run_one(rng: random.Random, t: int) -> tuple[AxiomVerdict, dict]:
-        variant = "merge" if t % 4 == 0 else "identity"
-        p, p2, q, outcomes = ira_scenario(rng, variant)
-        v = check_independence_redundant_acts(swf, p, p2, q, outcomes)
-        scenario = {
-            "profile": profile_as_dict(p),
-            "profile2": profile_as_dict(p2),
-            "coarsening": q.as_dict(),
-            "outcomes": list(outcomes),
-            "variant": variant,
-        }
-        return v, scenario
-
-    return _run_battery("independence-redundant-acts", trials, seed, run_one)
-
-
-def battery_restricted_pareto(swf: Swf, trials: int, seed: int) -> AxiomVerdict:
-    def run_one(rng: random.Random, t: int) -> tuple[AxiomVerdict, dict]:
-        prof, f, g = pareto_scenario(rng, constant=bool(t % 2))
-        v = check_restricted_pareto(swf, prof, f, g)
-        scenario = {
-            "profile": profile_as_dict(prof),
-            "f": f.as_dict(),
-            "g": g.as_dict(),
-        }
-        return v, scenario
-
-    return _run_battery("restricted-pareto", trials, seed, run_one)
-
-
-def battery_continuity(swf: Swf, trials: int, seed: int) -> AxiomVerdict:
-    def run_one(rng: random.Random, t: int) -> tuple[AxiomVerdict, dict]:
-        prof, agent = continuity_scenario(rng, twin=(t % 4 == 0))
-        rep = continuity_probe(swf, prof, agent)
-        v = AxiomVerdict(
-            "continuity", not rep.flagged, 1, rep.as_dict() if rep.flagged else None
-        )
-        return v, {"profile": profile_as_dict(prof), "agent": agent}
-
-    return _run_battery("continuity", trials, seed, run_one)
-
-
-_BATTERIES: dict[str, Callable[[Swf, int, int], AxiomVerdict]] = {
-    "faithfulness": battery_faithfulness,
-    "anonymity": battery_anonymity,
-    "no-belief-imposition": battery_no_belief_imposition,
-    "restricted-monotonicity": battery_restricted_monotonicity,
-    "independence-redundant-acts": battery_independence_redundant_acts,
-    "restricted-pareto": battery_restricted_pareto,
-    "continuity": battery_continuity,
-}
-
-
 def run_axiom_battery(swf: Swf, axiom: str, trials: int, seed: int) -> AxiomVerdict:
-    if axiom not in _BATTERIES:
-        raise ValueError(f"unknown axiom {axiom!r}")
-    return _BATTERIES[axiom](swf, trials, seed)
+    spec = _spec(axiom)
+
+    def run_one(rng: random.Random, t: int) -> tuple[AxiomVerdict, dict]:
+        scenario = spec.draw(rng, t, swf)
+        return spec.check(swf, scenario), scenario
+
+    return _run_battery(axiom, trials, seed, run_one)
 
 
 def matrix_counts(trials: int) -> dict[str, int]:
@@ -617,46 +661,6 @@ def matrix_violations(report: dict) -> dict[str, frozenset[str]]:
 
 
 def rerun_witness(swf: Swf, witness: Mapping) -> AxiomVerdict:
-    """Replay a battery witness; deterministic given the recorded scenario."""
-    axiom = witness["axiom"]
-    sc = witness["scenario"]
-    if axiom == "faithfulness":
-        return check_faithfulness(
-            swf, OutcomeSpace(tuple(sc["outcomes"])), sc["n_agents"]
-        )
-    if axiom == "anonymity":
-        return check_anonymity(swf, profile_from_dict(sc["profile"]))
-    if axiom == "no-belief-imposition":
-        return check_no_belief_imposition(
-            swf, profile_from_dict(sc["profile"]), sc["agent"]
-        )
-    if axiom == "restricted-monotonicity":
-        return check_restricted_monotonicity(
-            swf,
-            profile_from_dict(sc["base"]),
-            sc["agent"],
-            preference_from_dict(sc["newpref"]),
-            Act.from_dict(sc["f"]),
-            Act.from_dict(sc["g"]),
-        )
-    if axiom == "independence-redundant-acts":
-        return check_independence_redundant_acts(
-            swf,
-            profile_from_dict(sc["profile"]),
-            profile_from_dict(sc["profile2"]),
-            Coarsening.from_dict(sc["coarsening"]),
-            tuple(sc["outcomes"]),
-        )
-    if axiom == "restricted-pareto":
-        return check_restricted_pareto(
-            swf,
-            profile_from_dict(sc["profile"]),
-            Act.from_dict(sc["f"]),
-            Act.from_dict(sc["g"]),
-        )
-    if axiom == "continuity":
-        rep = continuity_probe(swf, profile_from_dict(sc["profile"]), sc["agent"])
-        return AxiomVerdict(
-            "continuity", not rep.flagged, 1, rep.as_dict() if rep.flagged else None
-        )
-    raise ValueError(f"unknown axiom {axiom!r}")
+    """Replay a witness through its axiom's check; deterministic given the
+    recorded scenario."""
+    return _spec(witness["axiom"]).check(swf, scenario_from_dict(witness["scenario"]))

@@ -42,6 +42,18 @@ class Infeasible(Exception):
 # events
 
 
+def _merge_intervals(pairs: Iterable[tuple[float, float]]) -> list[list[float]]:
+    """Sorted union of intervals: each one that overlaps or touches the
+    last merged piece extends it."""
+    merged: list[list[float]] = []
+    for a, b in sorted(pairs):
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    return merged
+
+
 @dataclass(frozen=True)
 class EventSet:
     """Finite union of disjoint half-open intervals within [0, 1).
@@ -111,12 +123,7 @@ class EventSet:
         return EventSet(tuple(out))
 
     def union(self, other: "EventSet") -> "EventSet":
-        merged: list[list[float]] = []
-        for a, b in sorted(list(self.intervals) + list(other.intervals)):
-            if merged and a <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], b)
-            else:
-                merged.append([a, b])
+        merged = _merge_intervals(self.intervals + other.intervals)
         return EventSet(tuple((a, b) for a, b in merged))
 
     def contains_point(self, x: float) -> bool:
@@ -403,28 +410,13 @@ class Coarsening:
             cursor = sb
         if cursor != 1.0:
             raise ValueError("source intervals must end at 1.0")
-        merged: list[list[float]] = []
-        for a, b in sorted(covered):
-            if merged and a <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], b)
-            else:
-                merged.append([a, b])
+        merged = _merge_intervals(covered)
         if len(merged) != 1 or merged[0][0] > TOL_EXACT or merged[0][1] < 1.0 - TOL_EXACT:
             raise ValueError("target intervals must cover [0,1)")
 
     @staticmethod
     def identity() -> "Coarsening":
         return Coarsening(((0.0, 1.0, 0.0, 1.0, +1),))
-
-    def apply(self, x: float) -> float:
-        for sa, sb, ta, tb, orient in self.pieces:
-            if sa <= x < sb:
-                frac = (x - sa) / (sb - sa)
-                if orient < 0:
-                    frac = 1.0 - frac
-                y = ta + frac * (tb - ta)
-                return min(y, np.nextafter(tb, ta))
-        raise ValueError(f"{x} outside [0,1)")
 
     def as_dict(self) -> dict:
         return {"pieces": [list(p) for p in self.pieces]}

@@ -244,10 +244,6 @@ class Preference:
         return self.belief is None
 
     @staticmethod
-    def represented(belief: Density, utility: Utility) -> "Preference":
-        return Preference(belief, utility)
-
-    @staticmethod
     def from_raw(
         belief: Density, raw_utility: Mapping[str, float], space: OutcomeSpace
     ) -> "Preference":

@@ -11,8 +11,10 @@ import sys
 
 import pytest
 
-from baru import __version__
-from baru.cli import load_profile, main, serialize_profile
+from baru import __version__, rerun_witness, rule_by_name
+from baru.axioms import AxiomVerdict, ScenarioRejected
+from baru.cli import _profile_first_check, load_profile, main, serialize_profile
+from baru.harness import AXIOM_SPECS, AxiomSpec
 
 TABLE1 = {
     "outcomes": ["a", "b", "c", "d"],
@@ -183,6 +185,25 @@ def test_axiom_report_profile_first_checks(table1_file, capsys):
     assert anon["verdict"] == "violated" and anon["trials"] == 1  # first swap convicts
     assert nbi["verdict"] == "violated" and nbi["trials"] < 20
     assert report["axioms"]["faithfulness"]["verdict"] == "satisfied-on-sample"
+    # scenario-zero witnesses replay like battery witnesses
+    for v in (anon, nbi):
+        assert v["witness"]["trial"] is None and v["witness"]["seed"] is None
+        assert not rerun_witness(rule_by_name("swf4"), v["witness"]).satisfied
+
+
+def test_profile_first_check_skips_only_rejected_scenarios(table1, monkeypatch):
+    profile, _, _ = table1
+    first, second = profile.concerned
+
+    def check(swf, sc):
+        if sc["agent"] == first:
+            raise ScenarioRejected("perturbation target must be concerned")
+        return AxiomVerdict("continuity", False, 1, {"agent": sc["agent"]})
+
+    monkeypatch.setitem(AXIOM_SPECS, "continuity", AxiomSpec(AXIOM_SPECS["continuity"].draw, check))
+    v = _profile_first_check(rule_by_name("baru"), "continuity", profile)
+    assert not v.satisfied
+    assert v.witness["scenario"]["agent"] == second
 
 
 def test_axiom_report_pareto_flag(capsys):

@@ -26,6 +26,7 @@ from baru.axioms import (
     check_restricted_pareto,
 )
 from baru.harness import (
+    AXIOM_SPECS,
     EXPECTED_VIOLATIONS,
     MATRIX_AXIOMS,
     child_seed,
@@ -41,6 +42,8 @@ from baru.harness import (
     random_utility,
     reversal,
     rm_scenario,
+    scenario_as_dict,
+    scenario_from_dict,
 )
 
 SPACE = OutcomeSpace(("a", "b", "c", "d"))
@@ -167,6 +170,31 @@ def test_battery_reports_rejections(rng):
     v = run_axiom_battery(baru, "restricted-pareto", 30, 11)
     assert v.satisfied
     assert v.trials == 30
+
+
+def test_axiom_specs_cover_every_battery():
+    assert set(AXIOM_SPECS) == set(MATRIX_AXIOMS) | {"restricted-pareto"}
+
+
+@pytest.mark.parametrize("axiom", sorted(AXIOM_SPECS))
+def test_scenario_codec_round_trip(axiom):
+    # a replay must check exactly the scenario the battery checked
+    drawn = 0
+    for t in range(8):  # spans every variant a spec picks by trial index
+        try:
+            sc = AXIOM_SPECS[axiom].draw(random.Random(child_seed(5, axiom, t)), t, baru)
+        except ScenarioRejected:
+            continue
+        assert scenario_from_dict(json.loads(json.dumps(scenario_as_dict(sc)))) == sc
+        drawn += 1
+    assert drawn >= 4
+
+
+def test_unknown_axiom_raises():
+    with pytest.raises(ValueError, match="unknown axiom"):
+        run_axiom_battery(baru, "no-such-axiom", 3, 1)
+    with pytest.raises(ValueError, match="unknown axiom"):
+        rerun_witness(baru, {"axiom": "no-such-axiom", "scenario": {}})
 
 
 def test_matrix_counts_partition():
