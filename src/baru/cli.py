@@ -27,7 +27,7 @@ from .harness import (
     child_seed,
     violation_witness,
 )
-from .measure import Coarsening, Density, TOL_EXACT
+from .measure import Coarsening, Density, TOL_EXACT, segment_masses
 from .prefs import (
     Act,
     INDIFFERENT,
@@ -312,15 +312,14 @@ def _write(path: str, content: str) -> None:
 # commands
 
 
-def _segment_masses(d: Density) -> list[list[float]]:
-    return [
-        [d.breakpoints[s], d.breakpoints[s + 1], d.mass(d.breakpoints[s], d.breakpoints[s + 1])]
-        for s in range(len(d.values))
-    ]
-
-
-def _belief_summary(d: Density) -> str:
-    return "/".join(format(m, "g") for _, _, m in _segment_masses(d))
+def _belief_masses(d: Density) -> dict:
+    """The society belief as [a, b, mass] per segment, and as a summary."""
+    bps = d.breakpoints
+    segments = [[a, b, m] for a, b, m in zip(bps, bps[1:], segment_masses(d, bps))]
+    return {
+        "belief_segment_masses": segments,
+        "belief_summary": "/".join(format(m, "g") for _, _, m in segments),
+    }
 
 
 def _ranking(result, acts: Mapping[str, Act]) -> str:
@@ -350,12 +349,10 @@ def cmd_aggregate(args) -> int:
         report["society"] = "complete indifference"
         if result.belief is not None:
             report["belief"] = result.belief.as_dict()
-            report["belief_segment_masses"] = _segment_masses(result.belief)
-            report["belief_summary"] = _belief_summary(result.belief)
+            report.update(_belief_masses(result.belief))
     else:
         report["society"] = preference_as_dict(result.preference)
-        report["belief_segment_masses"] = _segment_masses(result.belief)
-        report["belief_summary"] = _belief_summary(result.belief)
+        report.update(_belief_masses(result.belief))
         report["raw_utility"] = {lab: v for lab, v in result.raw_utility}
         report["belief_weights"] = [[i, w] for i, w in result.belief_weights]
         report["utility_weights"] = [[i, w] for i, w in result.utility_weights]

@@ -50,14 +50,38 @@ def feasible_point(A, b) -> np.ndarray | None:
     T[m, -1] = -b.sum()
 
     basis = list(range(n, n + m))
+    if not _pivot(T, basis):
+        return None
+    tol = FEAS_TOL * max(1.0, float(np.max(np.abs(b))))
+    if -T[m, -1] > tol:
+        return None
+    x = _basic_point(T, basis, n)
+    if np.max(np.abs(A @ x - b)) > tol:
+        # Round-off from many pivots can leave the tableau claiming a
+        # feasible basis whose point misses A x = b.  Rebuild the tableau
+        # from the original data as B^-1 [A | I | b] and pivot on.
+        full = np.hstack([A, np.eye(m), b[:, None]])
+        T[:m] = np.linalg.solve(full[:, basis], full)
+        cost = np.concatenate([np.zeros(n), np.ones(m), [0.0]])
+        T[m] = cost - cost[basis] @ T[:m]
+        if not _pivot(T, basis) or -T[m, -1] > tol:
+            return None
+        x = _basic_point(T, basis, n)
+    return x
+
+
+def _pivot(T: np.ndarray, basis: list[int]) -> bool:
+    """Bland-rule phase-1 pivoting on the tableau in place; False when it
+    fails numerically or runs out of iterations."""
+    m = len(basis)
     for _ in range(_MAX_ITER):
         enter = -1
-        for j in range(n + m):
+        for j in range(T.shape[1] - 1):
             if T[m, j] < -PIVOT_EPS:
                 enter = j
                 break
         if enter < 0:
-            break
+            return True
         # Ratio test; Bland tie-break on the smallest basis index.
         leave = -1
         best = np.inf
@@ -73,7 +97,7 @@ def feasible_point(A, b) -> np.ndarray | None:
         if leave < 0:
             # Unbounded phase-1 objective cannot happen (it is bounded
             # below by zero); treat as numerical failure.
-            return None
+            return False
         piv = T[leave, enter]
         T[leave] /= piv
         col = T[:, enter].copy()
@@ -81,12 +105,10 @@ def feasible_point(A, b) -> np.ndarray | None:
         T -= np.outer(col, T[leave])
         T[leave, enter] = 1.0
         basis[leave] = enter
-    else:
-        return None
+    return False
 
-    if -T[m, -1] > FEAS_TOL * max(1.0, float(np.max(np.abs(b))) if m else 1.0):
-        return None
 
+def _basic_point(T: np.ndarray, basis: list[int], n: int) -> np.ndarray:
     x = np.zeros(n)
     for i, j in enumerate(basis):
         if j < n:

@@ -115,6 +115,41 @@ def test_lyapunov_event_respects_region():
     assert ev.intersect(region.complement()).length <= 1e-12
 
 
+def test_lyapunov_event_survives_pivot_round_off():
+    # Criterion 7's 604th item of random.Random(19): the phase-1 tableau
+    # drifted to a basis whose point missed A x = b by 2e-3.
+    beliefs = (
+        Density(
+            (0.0, 0.023182, 0.273884, 0.450426, 0.702485, 1.0),
+            (0.42728067741139497, 0.5939020191857388, 1.191426827397424,
+             1.2593346470531472, 1.0535228427419814),
+        ),
+        Density.uniform(),
+        Density(
+            (0.0, 0.077359, 0.099092, 0.229098, 0.255502, 0.266111, 0.27664,
+             0.430228, 0.494904, 0.518943, 0.635902, 0.650351, 0.688656,
+             0.70159, 0.763079, 0.780187, 0.806567, 0.947897, 0.975865, 1.0),
+            (1.6933597792820234, 0.8245693206306721, 0.2936944504500662,
+             1.416783089188266, 1.434352570610209, 1.8078469283435883,
+             0.5440326079302433, 0.6782911669026671, 0.3635472074579145,
+             1.5354759175160995, 1.2995711535482515, 0.7897334856708961,
+             1.0662521219945005, 1.8222926981077325, 2.101328440601974,
+             0.5340064565025388, 0.8733643469441434, 1.9403571353956808,
+             0.9480039182087161),
+        ),
+        Density((0.0, 0.450456, 1.0), (0.996935392170538, 1.002512029945606)),
+    )
+    targets = (
+        0.035155825382349494,
+        0.06006262587453991,
+        0.09928210389329789,
+        0.059878557481026745,
+    )
+    ev = lyapunov_event(beliefs, targets)
+    for d, t in zip(beliefs, targets):
+        assert measure(d, ev) == pytest.approx(t, abs=TOL_MEASURE)
+
+
 def test_lyapunov_event_infeasible_target():
     d = Density.uniform()
     region = EventSet.from_intervals(((0.0, 0.4),))

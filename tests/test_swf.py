@@ -33,8 +33,11 @@ from baru import (
     swf6,
     weighted,
 )
+from baru import swf as swf_module
+from baru.axioms import continuity_probe
+from baru.geometry import direction_set, geometry_for, support_values
 from baru.swf import PHANTOM_ID, _max_product_polygon, _nash_point, ramp_utility
-from baru.harness import random_profile
+from baru.harness import AXIOM_SPECS, child_seed, random_profile
 
 SPACE = OutcomeSpace(("a", "b", "c", "d"))
 
@@ -169,31 +172,88 @@ def test_swf5_custom_alpha_proportional_matches_baru(table1):
     assert dict(prop.raw_utility) == pytest.approx(dict(plain.raw_utility), abs=1e-12)
 
 
+def _assert_nash_certified(profile, x):
+    """Solver-independent certificate: x lies in the image, and no image
+    point improves the linearised log-product at x (h(1/x) <= 1/x . x = n)."""
+    geom = geometry_for(profile)
+    n = geom.dimension
+    assert np.all(x > 0.0)
+    assert support_values(geom, 1.0 / x)[0] <= n * (1.0 + 1e-9)
+    dirs = direction_set(n)
+    assert np.all(dirs @ x <= support_values(geom, dirs) + 1e-9)
+
+
+def _simplex_profile():
+    space = OutcomeSpace(("o1", "o2", "o3", "o4"))
+    prefs = tuple(
+        Preference(
+            Density.uniform(),
+            Utility({lab: float(lab == f"o{i}") for lab in space.labels}),
+        )
+        for i in (1, 2, 3)
+    )
+    return Profile(space, prefs)
+
+
 def test_nash_point_simplex_oracle():
     # unit-vector utilities and one dead outcome: the image is the corner
     # simplex, whose log-product maximum is the barycenter
+    profile = _simplex_profile()
+    point = _nash_point(profile)
+    assert np.abs(point - 1.0 / 3.0).max() <= 1e-8
+    _assert_nash_certified(profile, point)
+
+
+@pytest.mark.parametrize("trial", [56, 65, 75])
+def test_nash_point_certified_on_criterion5_continuity_scenarios(monkeypatch, trial):
+    # The slowest solves of swf1's criterion-5 continuity stream: the
+    # probe's smallest step leaves each nearly degenerate, and trial 56
+    # holds twin agents, whose Hessian is singular.
+    seed = child_seed(child_seed(20240801, "swf1:continuity", 0), "continuity", trial)
+    scenario = AXIOM_SPECS["continuity"].draw(random.Random(seed), trial, swf1)
+    solved = []
+
+    def recording(profile):
+        x = _nash_point(profile)
+        solved.append((profile, x))
+        return x
+
+    monkeypatch.setattr(swf_module, "_nash_point", recording)
+    continuity_probe(swf1, scenario["profile"], scenario["agent"])
+    assert len(solved) == 5
+    for profile, x in solved:
+        _assert_nash_certified(profile, x)
+
+
+@pytest.mark.parametrize("n_agents", [3, 4])
+def test_nash_point_certified_on_random_profiles(rng, n_agents):
+    for _ in range(4):
+        profile = random_profile(rng, space=SPACE, n_agents=n_agents, n_concerned=n_agents)
+        _assert_nash_certified(profile, _nash_point(profile))
+
+
+def test_nash_solver_raises_when_rounds_run_out(monkeypatch):
+    # Agent i likes outcome o_i and believes in state i.  One round keeps
+    # only the constant acts, whose hull tops out at 1/3 per agent, while
+    # the act giving each agent its outcome on its own state reaches 0.8:
+    # the solver must refuse rather than return the uncertified point.
     space = OutcomeSpace(("o1", "o2", "o3", "o4"))
     prefs = tuple(
         Preference(
-            Density.uniform(),
-            Utility({lab: float(lab == f"o{i}") for lab in space.labels}),
+            Density.from_state_probs(tuple(0.8 if s == i else 0.1 for s in range(3))),
+            Utility({lab: float(lab == f"o{i + 1}") for lab in space.labels}),
         )
-        for i in (1, 2, 3)
+        for i in range(3)
     )
-    point = _nash_point(Profile(space, prefs))
-    assert np.abs(point - 1.0 / 3.0).max() <= 1e-8
+    profile = Profile(space, prefs)
+    _assert_nash_certified(profile, _nash_point(profile))
+    monkeypatch.setattr(swf_module, "_NASH_ROUNDS", 1)
+    with pytest.raises(DegenerateNashPoint):
+        _nash_point(profile)
 
 
 def test_swf1_simplex_weights_equalize():
-    space = OutcomeSpace(("o1", "o2", "o3", "o4"))
-    prefs = tuple(
-        Preference(
-            Density.uniform(),
-            Utility({lab: float(lab == f"o{i}") for lab in space.labels}),
-        )
-        for i in (1, 2, 3)
-    )
-    result = swf1(Profile(space, prefs))
+    result = swf1(_simplex_profile())
     ws = [w for _, w in result.utility_weights]
     assert max(ws) - min(ws) <= 1e-7
 
