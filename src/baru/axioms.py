@@ -16,7 +16,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import lp
-from .geometry import direction_set, geometry_for, image_polytope, support_values
+from .geometry import (
+    ProfileGeometry,
+    direction_set,
+    geometry_for,
+    image_polytope,
+    kink_directions,
+    support_values,
+)
 from .measure import (
     Coarsening,
     Density,
@@ -100,28 +107,74 @@ def _lottery_gap(p: Lottery, q: Lottery) -> float:
 @dataclass(frozen=True)
 class CoRedundancyCertificate:
     """Witness that acts factoring through the coarsening and using only
-    the listed outcomes already span the full utility image."""
+    the listed outcomes already span the full utility image.
+
+    `method` is "exact" when `residual` bounds the support gap over every
+    direction (one or two concerned agents), "sampled" when it is the
+    largest gap over `directions` probing directions only."""
 
     coarsening: Coarsening
     outcomes: tuple[str, ...]
     pushforwards: tuple[tuple[int, Density], ...]
     residual: float
+    method: str
+    directions: int
 
 
 @dataclass(frozen=True)
 class Refused:
     """Certification failure: reason is "image-mismatch" (with a
-    separating direction) or "improper-pushforward"."""
+    separating direction, and the method and direction count of the
+    comparison) or "improper-pushforward"."""
 
     reason: str
     detail: str
     direction: tuple[float, ...] | None = None
     residual: float | None = None
+    method: str | None = None
+    directions: int = 0
+
+
+_AXES_2D = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+
+
+def _exact_support_gap(
+    full: ProfileGeometry, restricted: ProfileGeometry
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Two-agent support gap at every kink direction of either image, with
+    a bound on the gap over all directions.
+
+    Between consecutive kink directions both support functions are
+    linear, so on that arc the gap is a linear function of the direction;
+    the coordinate axes keep every arc within pi/2.  A unit direction on an
+    arc of angle phi is a nonnegative combination of the arc's ends with
+    coefficients summing to at most 1/cos(phi/2), which bounds the gap
+    there by the larger end gap over cos(phi/2).
+
+    Returns the unit directions, the absolute gaps there, and the bound."""
+    raw = np.concatenate((kink_directions(full), kink_directions(restricted), _AXES_2D))
+    norms = np.hypot(raw[:, 0], raw[:, 1])
+    nonzero = norms > 0.0
+    raw = raw[nonzero] / norms[nonzero, None]
+    angles, keep = np.unique(np.arctan2(raw[:, 1], raw[:, 0]), return_index=True)
+    dirs = raw[keep]
+    gaps = np.abs(support_values(full, dirs) - support_values(restricted, dirs))
+    # arc k runs from direction k to direction k + 1, the last one wrapping
+    ends = np.append(gaps, gaps[0])
+    turns = np.append(angles, angles[0] + 2.0 * np.pi)
+    bound = np.maximum(ends[:-1], ends[1:]) / np.cos(0.5 * (turns[1:] - turns[:-1]))
+    return dirs, gaps, float(bound.max())
 
 
 def certify_coredundancy(
     profile: Profile, q: Coarsening, outcomes: Sequence[str]
 ) -> CoRedundancyCertificate | Refused:
+    """Decides whether acts factoring through q into the outcome subset
+    reach the whole image of the concerned agents, by comparing the two
+    support functions.  With one or two concerned agents the comparison
+    is exact (every direction where a support function bends, with a
+    certified bound between them); with more it is sampled over
+    `direction_set`."""
     outs = tuple(outcomes)
     if not outs:
         raise ValueError("outcome subset must be non-empty")
@@ -137,20 +190,28 @@ def certify_coredundancy(
             push.append((i, pushforward_coarsening(q, profile.agents[i].belief)))
         except (ValueError, ZeroDivisionError) as exc:
             return Refused("improper-pushforward", f"agent {i}: {exc}")
-    dirs = direction_set(len(ids))
-    full = support_values(geometry_for(profile), dirs)
-    restricted = support_values(geometry_for(profile, q, outs), dirs)
-    gaps = np.abs(full - restricted)
-    residual = float(gaps.max())
+    full = geometry_for(profile)
+    restricted = geometry_for(profile, q, outs, dict(push))
+    if len(ids) == 2:
+        method = "exact"
+        dirs, gaps, residual = _exact_support_gap(full, restricted)
+    else:
+        # one agent: the directions +1 and -1 already decide an interval
+        method = "exact" if len(ids) == 1 else "sampled"
+        dirs = direction_set(len(ids))
+        gaps = np.abs(support_values(full, dirs) - support_values(restricted, dirs))
+        residual = float(gaps.max())
     if residual > TOL_MEASURE:
         k = int(gaps.argmax())
         return Refused(
             "image-mismatch",
-            f"support gap {residual:.3e} at direction index {k}",
+            f"support gap {residual:.3e} ({method}, {len(dirs)} directions)",
             tuple(float(v) for v in dirs[k]),
             residual,
+            method,
+            len(dirs),
         )
-    return CoRedundancyCertificate(q, outs, tuple(push), residual)
+    return CoRedundancyCertificate(q, outs, tuple(push), residual, method, len(dirs))
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +354,17 @@ def check_independence_redundant_acts(
     coarsened beliefs, same utilities on the outcome subset) must yield
     societies that agree on that restriction as well."""
     outs = tuple(outcomes)
+    pushed = []
     for prof, tag in ((p, "p"), (p2, "p'")):
         cert = certify_coredundancy(prof, q, outs)
         if isinstance(cert, Refused):
             raise ScenarioRejected(f"{tag}: co-redundancy refused ({cert.reason}: {cert.detail})")
+        pushed.append(dict(cert.pushforwards))
     if p.concerned != p2.concerned:
         raise ScenarioRejected("profiles differ in which agents are concerned")
     for i in p.concerned:
         a, b = p.agents[i], p2.agents[i]
-        push_gap = belief_distance(
-            pushforward_coarsening(q, a.belief), pushforward_coarsening(q, b.belief)
-        )
+        push_gap = belief_distance(pushed[0][i], pushed[1][i])
         if push_gap > TOL_MEASURE:
             raise ScenarioRejected(f"agent {i} coarsened beliefs differ by {push_gap:.3e}")
         u_gap = max(abs(a.utility.value(o) - b.utility.value(o)) for o in outs)

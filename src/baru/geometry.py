@@ -17,8 +17,9 @@ two-agent case.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import atan2, cos, pi, sin, sqrt
-from typing import Sequence
+from functools import lru_cache
+from math import atan2, pi, sqrt
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,10 +33,18 @@ _DIRS_HIGH = 2000
 _HIGH_DIM_SEED = 20240801
 
 
+@lru_cache(maxsize=None)
 def direction_set(dim: int) -> np.ndarray:
     """Deterministic probing directions: evenly rotated at dimension 2,
     a symmetrised Fibonacci sphere at dimension 3, seeded Gaussian
-    directions (also symmetrised) above that."""
+    directions (also symmetrised) above that.  Built once per dimension
+    and shared, so the array is read-only."""
+    dirs = _build_direction_set(dim)
+    dirs.flags.writeable = False
+    return dirs
+
+
+def _build_direction_set(dim: int) -> np.ndarray:
     if dim < 1:
         raise ValueError("dimension must be positive")
     if dim == 1:
@@ -61,12 +70,15 @@ def direction_set(dim: int) -> np.ndarray:
 @dataclass(frozen=True)
 class ProfileGeometry:
     """Per-segment contribution tensor of a profile (or a restriction of
-    one): tensor[s, x, i] = belief_i(segment s) * utility_i(outcome x)."""
+    one): tensor[s, x, i] = masses[i, s] * utils[i, x], the belief mass of
+    segment s times the utility of outcome x, for concerned agent i."""
 
     agent_ids: tuple[int, ...]
     labels: tuple[str, ...]
     breakpoints: tuple[float, ...]
-    tensor: np.ndarray = field(compare=False)
+    masses: np.ndarray = field(compare=False)  # (n, S)
+    utils: np.ndarray = field(compare=False)  # (n, X)
+    tensor: np.ndarray = field(compare=False)  # (S, X, n)
 
     @property
     def dimension(self) -> int:
@@ -77,7 +89,12 @@ def geometry_for(
     profile: Profile,
     coarsening: Coarsening | None = None,
     labels: Sequence[str] | None = None,
+    pushforwards: Mapping[int, Density] | None = None,
 ) -> ProfileGeometry:
+    """Geometry of the concerned agents' image, optionally restricted to
+    acts that factor through `coarsening` into the `labels` subset.
+    `pushforwards` maps agent ids to beliefs already pushed through
+    `coarsening`, which are then used as they are."""
     ids = profile.concerned
     if not ids:
         raise ValueError("image geometry needs at least one concerned agent")
@@ -88,20 +105,47 @@ def geometry_for(
     beliefs = []
     for i in ids:
         d = profile.agents[i].belief
-        beliefs.append(pushforward_coarsening(coarsening, d) if coarsening else d)
+        if pushforwards is not None:
+            d = pushforwards[i]
+        elif coarsening:
+            d = pushforward_coarsening(coarsening, d)
+        beliefs.append(d)
     bps = merged_breakpoints(beliefs)
     masses = np.array([segment_masses(d, bps) for d in beliefs])  # (n, S)
     utils = np.array(
         [[profile.agents[i].utility.value(lab) for lab in labs] for i in ids]
     )  # (n, X)
     tensor = masses.T[:, None, :] * utils.T[None, :, :]  # (S, X, n)
-    return ProfileGeometry(ids, labs, bps, tensor)
+    return ProfileGeometry(ids, labs, bps, masses, utils, tensor)
 
 
 def support_values(geom: ProfileGeometry, directions: np.ndarray) -> np.ndarray:
     """h(c) for each probing direction c."""
-    scores = np.einsum("sxn,dn->dsx", geom.tensor, np.atleast_2d(directions))
-    return scores.max(axis=2).sum(axis=1)
+    dirs = np.atleast_2d(directions)
+    S, X, n = geom.tensor.shape
+    # Outcome-major scores (X, S, D): one matrix product, then the max over
+    # outcomes and the sum over segments run along leading axes, which numpy
+    # vectorizes across the directions.
+    scores = (geom.tensor.transpose(1, 0, 2).reshape(X * S, n) @ dirs.T).reshape(X, S, -1)
+    return scores.max(axis=0).sum(axis=0)
+
+
+def kink_directions(geom: ProfileGeometry) -> np.ndarray:
+    """Outward normals (not normalized; zero where a segment's hull edge
+    collapses) of every edge of every segment's point hull.  A two-agent
+    support function is linear between consecutive such directions.
+
+    Segment s's points are the utility points scaled by diag(masses[:, s]);
+    a positive diagonal scaling keeps the hull's edges, so the hull of the
+    utility points gives them all: the edge e becomes (m1 e1, m2 e2), with
+    outward normal (m2 e2, -m1 e1).  A zero mass collapses the hull onto an
+    axis, whose normals are the coordinate directions."""
+    if geom.dimension != 2:
+        raise ValueError("kink directions only at dimension 2")
+    hull = _hull2d(geom.utils.T.tolist(), tol=0.0)
+    edges = np.array(hull[1:] + hull[:1]) - hull  # (h, 2), counter-clockwise
+    turned = edges[:, ::-1] * (1.0, -1.0)  # (e2, -e1)
+    return (geom.masses[::-1].T[:, None, :] * turned).reshape(-1, 2)
 
 
 def _argmax_choices(geom: ProfileGeometry, direction: np.ndarray) -> np.ndarray:
@@ -126,18 +170,18 @@ def attained_points(geom: ProfileGeometry, directions: np.ndarray) -> np.ndarray
     scores = np.einsum("sxn,dn->dsx", geom.tensor, dirs)
     idx = scores.argmax(axis=2)  # (D, S)
     S = geom.tensor.shape[0]
-    pts = np.empty((dirs.shape[0], geom.dimension))
-    for d in range(dirs.shape[0]):
-        pts[d] = geom.tensor[np.arange(S), idx[d], :].sum(axis=0)
-    return pts
+    return geom.tensor[np.arange(S)[None, :], idx, :].sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
 # exact two-dimensional geometry
 
 
-def _hull2d(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Convex hull, counter-clockwise, collinear points dropped."""
+def _hull2d(
+    points: Sequence[tuple[float, float]], tol: float = 1e-14
+) -> list[tuple[float, float]]:
+    """Convex hull, counter-clockwise, collinear points dropped (turns
+    whose cross product is at most `tol`)."""
     pts = sorted(set((float(x), float(y)) for x, y in points))
     if len(pts) <= 2:
         return pts
@@ -147,7 +191,7 @@ def _hull2d(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
             while len(out) >= 2:
                 ox, oy = out[-2]
                 ax, ay = out[-1]
-                if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) <= 1e-14:
+                if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) <= tol:
                     out.pop()
                 else:
                     break
@@ -193,8 +237,9 @@ def minkowski_polygon(geom: ProfileGeometry) -> tuple[tuple[float, float], ...]:
 
 @dataclass(frozen=True)
 class ImagePolytope:
-    """Support-function view of the image, with vertices recovered by the
-    rotating-direction sweep where the dimension allows it."""
+    """Support-function view of the image, with exact vertices in one and
+    two dimensions and vertices recovered by the rotating-direction sweep
+    in three."""
 
     agent_ids: tuple[int, ...]
     labels: tuple[str, ...]
@@ -237,9 +282,7 @@ def image_polytope(
         lo = -float(support_values(geom, np.array([[-1.0]]))[0])
         vertices = ((lo,), (hi,))
     elif geom.dimension == 2:
-        pts = attained_points(geom, dirs)
-        hull = _hull2d([(p[0], p[1]) for p in pts])
-        vertices = tuple((float(x), float(y)) for x, y in hull)
+        vertices = minkowski_polygon(geom)
     elif geom.dimension == 3:
         # each sweep direction lands on a vertex; dedupe at the measure
         # tolerance (resolution is bounded by the direction set)

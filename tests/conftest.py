@@ -35,3 +35,19 @@ def table1():
 @pytest.fixture
 def rng():
     return random.Random(987123)
+
+
+@pytest.fixture
+def thin_gap():
+    """Two uniform-belief agents whose outcome d sits 1e-5 outside the
+    edge from b to c, along that edge's unit normal n: dropping d shrinks
+    the image only inside a cone of about 2e-5 rad around n."""
+    space = OutcomeSpace(("a", "b", "c", "d"))
+    delta = 1e-5
+    norm = (0.8**2 + 0.7**2) ** 0.5
+    n = (0.8 / norm, 0.7 / norm)
+    uniform = Density((0.0, 1.0), (1.0,))
+    u1 = Utility({"a": 0.0, "b": 1.0, "c": 0.3, "d": 0.65 + delta * n[0]})
+    u2 = Utility({"a": 0.0, "b": 0.2, "c": 1.0, "d": 0.6 + delta * n[1]})
+    profile = Profile(space, (Preference(uniform, u1), Preference(uniform, u2), INDIFFERENT))
+    return profile, n, delta

@@ -1,6 +1,9 @@
 """Single-scenario axiom checkers, co-redundancy certification, spurious
 unanimity, the three-horse demonstration, and the continuity probe."""
 
+import random
+
+import numpy as np
 import pytest
 
 from baru import (
@@ -32,7 +35,8 @@ from baru import (
     swf6,
 )
 from baru.axioms import CoRedundancyCertificate, Refused, ScenarioRejected, certify_coredundancy
-from baru.harness import reversal
+from baru.geometry import geometry_for, support_values
+from baru.harness import ira_scenario, random_profile, reversal
 
 SPACE = OutcomeSpace(("a", "b", "c", "d"))
 
@@ -230,6 +234,67 @@ def test_certify_interior_outcome_is_redundant():
     cert = certify_coredundancy(prof, Coarsening.identity(), ("a", "b", "c"))
     assert isinstance(cert, CoRedundancyCertificate)
     assert cert.residual <= 1e-9
+
+
+def _support_gap(profile, q, outcomes, dirs):
+    full = support_values(geometry_for(profile), dirs)
+    return np.abs(full - support_values(geometry_for(profile, q, outcomes), dirs))
+
+
+def test_certify_refuses_thin_gap(thin_gap):
+    # a sampled test misses the gap: it lives in a cone of about 2e-5 rad
+    # around n, between two of the 720 sweep directions
+    profile, n, delta = thin_gap
+    q = Coarsening.identity()
+    out = certify_coredundancy(profile, q, ("a", "b", "c"))
+    assert isinstance(out, Refused)
+    assert out.reason == "image-mismatch"
+    assert out.method == "exact"
+    assert out.residual >= delta * (1.0 - 1e-6)
+    direction = np.array(out.direction)
+    assert np.arccos(min(1.0, float(direction @ np.array(n)))) < 2e-5
+    assert _support_gap(profile, q, ("a", "b", "c"), direction[None, :])[0] > 1e-9
+
+
+def test_certify_reports_method_and_directions(table1, rng):
+    profile, _, _ = table1
+    cert = certify_coredundancy(profile, Coarsening.identity(), profile.space.labels)
+    assert (cert.method, cert.directions > 0) == ("exact", True)
+    refused = certify_coredundancy(profile, Coarsening.identity(), ("a",))
+    assert refused.method == "exact" and refused.directions > 0
+    three = random_profile(rng, space=SPACE, n_agents=3, n_concerned=3)
+    cert3 = certify_coredundancy(three, Coarsening.identity(), three.space.labels)
+    assert isinstance(cert3, CoRedundancyCertificate)
+    assert (cert3.method, cert3.directions) == ("sampled", 1000)
+
+
+def test_certify_exact_residual_bounds_dense_gap():
+    # IRA scenarios with one subset outcome dropped: the certified bound
+    # must cover the support gap at 100 000 evenly spread directions
+    rng = random.Random(4242)
+    angles = 2.0 * np.pi * np.arange(100_000) / 100_000
+    dense = np.column_stack([np.cos(angles), np.sin(angles)])
+    refused = certified = 0
+    while refused + certified < 24:
+        try:
+            p, p2, q, outs = ira_scenario(rng, "merge" if (refused + certified) % 3 == 0 else "identity")
+        except ScenarioRejected:
+            continue
+        for prof in (p, p2):
+            k = rng.randrange(len(outs))
+            sub = outs[:k] + outs[k + 1 :]
+            out = certify_coredundancy(prof, q, sub)
+            assert out.method == "exact"
+            gap = max(
+                float(_support_gap(prof, q, sub, dense[k : k + 10_000]).max())
+                for k in range(0, len(dense), 10_000)
+            )
+            assert gap <= out.residual + 1e-12
+            if isinstance(out, Refused):
+                refused += 1
+            else:
+                certified += 1
+    assert refused and certified
 
 
 # -- restricted Pareto ---------------------------------------------------------

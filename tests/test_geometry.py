@@ -55,6 +55,14 @@ def test_direction_set_shapes_and_unit_norm():
         direction_set(0)
 
 
+def test_direction_set_is_cached_and_read_only():
+    for dim in (2, 3, 5):
+        dirs = direction_set(dim)
+        assert direction_set(dim) is dirs
+        with pytest.raises(ValueError):
+            dirs[0, 0] = 0.0
+
+
 def test_geometry_tensor_values(table1):
     profile, _, _ = table1
     geom = geometry_for(profile)
@@ -73,6 +81,21 @@ def test_support_matches_attaining_act(table1):
         act = attaining_act(geom, direction)
         evs = [expected_utility(profile.agents[i], act) for i in profile.concerned]
         assert np.dot(direction, evs) == pytest.approx(h, abs=1e-12)
+
+
+def _support_reference(geom, dirs):
+    scores = np.einsum("sxn,dn->dsx", geom.tensor, dirs)
+    return scores.max(axis=2).sum(axis=1)
+
+
+def test_support_values_match_reference(rng):
+    # the kernel sums in another order than the reference (and may fuse
+    # multiply-adds), so agreement is to a few ulps of values at most S
+    for n_concerned in (1, 2, 3, 4):
+        profile = random_profile(rng, space=SPACE, n_agents=4, n_concerned=n_concerned)
+        geom = geometry_for(profile)
+        dirs = direction_set(n_concerned)
+        assert np.allclose(support_values(geom, dirs), _support_reference(geom, dirs), rtol=0, atol=1e-14)
 
 
 def test_support_dominates_every_grid_act(table1):
@@ -99,6 +122,16 @@ def test_minkowski_polygon_equals_grid_hull_random_profiles(rng):
         assert len(poly) == len(oracle)
         for p, q in zip(sorted(poly), sorted(oracle)):
             assert p == pytest.approx(q, abs=1e-9)
+
+
+def test_image_polytope_keeps_thin_cone_vertex(thin_gap):
+    # d's normal cone is about 2e-5 rad wide, far narrower than the
+    # spacing of the 720 sweep directions
+    profile, n, delta = thin_gap
+    poly = image_polytope(profile)
+    assert len(poly.vertices) == 4
+    d = (0.65 + delta * n[0], 0.6 + delta * n[1])
+    assert any(v == pytest.approx(d, abs=1e-15) for v in poly.vertices)
 
 
 def test_image_polytope_vertices_match_minkowski(table1):
@@ -191,3 +224,21 @@ def test_attained_points_on_polygon_boundary(table1):
     hs = support_values(geom, dirs)
     for p, d, h in zip(pts, dirs, hs):
         assert float(d @ p) == pytest.approx(float(h), abs=1e-12)
+
+
+def _attained_points_reference(geom, dirs):
+    idx = np.einsum("sxn,dn->dsx", geom.tensor, dirs).argmax(axis=2)
+    S = geom.tensor.shape[0]
+    pts = np.empty((dirs.shape[0], geom.dimension))
+    for d in range(dirs.shape[0]):
+        pts[d] = geom.tensor[np.arange(S), idx[d], :].sum(axis=0)
+    return pts
+
+
+def test_attained_points_match_loop(table1, rng):
+    profile, _, _ = table1
+    three = random_profile(rng, space=SPACE, n_agents=3, n_concerned=3)
+    for prof in (profile, three):
+        geom = geometry_for(prof)
+        dirs = direction_set(geom.dimension)
+        assert np.array_equal(attained_points(geom, dirs), _attained_points_reference(geom, dirs))
