@@ -9,6 +9,7 @@ checkers live in `harness`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import fsum
 from typing import Callable, Sequence
@@ -31,6 +32,7 @@ from .measure import (
     TOL_EXACT,
     TOL_MEASURE,
     belief_distance,
+    cell_values,
     merged_breakpoints,
     pushforward_coarsening,
 )
@@ -591,10 +593,16 @@ class ContinuityReport:
 
 
 def _median_cut(d: Density) -> float:
+    """Bisection for where the CDF reaches one half.  The monotone CDF is
+    below it left of the cell [a, b) where it crosses, not from b on, and
+    the cell's own line inside."""
+    bp = d.breakpoints
+    k = bisect_left([d.cdf(x) for x in bp], 0.5) - 1
+    a, b, base, slope = bp[k], bp[k + 1], d.cdf(bp[k]), d.values[k]
     lo, hi = 0.0, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if d.cdf(mid) < 0.5:
+        if mid < a or (mid < b and base + slope * (mid - a) < 0.5):
             lo = mid
         else:
             hi = mid
@@ -607,9 +615,9 @@ def _tilted(d: Density) -> Density:
     cut = _median_cut(d)
     bps = merged_breakpoints([d], extra=[cut])
     vals = []
-    for a, b in zip(bps[:-1], bps[1:]):
+    for b, v in zip(bps[1:], cell_values(d, bps)):
         scale = 1.5 if b <= cut + 1e-15 else 0.5
-        vals.append(d.value_at(a) * scale)
+        vals.append(v * scale)
     total = fsum(v * (b - a) for v, (a, b) in zip(vals, zip(bps[:-1], bps[1:])))
     return Density(bps, tuple(v / total for v in vals))
 
@@ -633,7 +641,8 @@ def continuity_probe(
     d, u = pref.belief, pref.utility
     rho = _tilted(d)
     bps = merged_breakpoints([d, rho])
-    sup_b = max(abs(d.value_at(a) - rho.value_at(a)) for a in bps[:-1])
+    cells = list(zip(cell_values(d, bps), cell_values(rho, bps)))
+    sup_b = max(abs(x - y) for x, y in cells)
     v = {lab: u.value(lab) ** 2 for lab in u.labels}
     sup_u = max(abs(v[lab] - u.value(lab)) for lab in u.labels)
     scale = max(sup_b, sup_u)
@@ -641,9 +650,7 @@ def continuity_probe(
     rows = []
     for step in steps:
         t = 0.0 if scale <= 0.0 else min(1.0, step / scale)
-        mixed_vals = tuple(
-            (1.0 - t) * d.value_at(a) + t * rho.value_at(a) for a in bps[:-1]
-        )
+        mixed_vals = tuple([(1.0 - t) * x + t * y for x, y in cells])
         mixed_belief = Density(bps, mixed_vals)
         mixed_utility = Utility(
             {lab: (1.0 - t) * u.value(lab) + t * v[lab] for lab in u.labels}

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import atan2, pi, sqrt
+from math import atan2, hypot, pi, sqrt
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -259,9 +259,39 @@ class ImagePolytope:
         return attaining_act(self.geometry, direction)
 
     def contains(self, point: Sequence[float], tol: float = TOL_MEASURE) -> bool:
+        """Whether the point lies within `tol` of the image: exactly against
+        the vertices in one and two dimensions, against the sampled support
+        half-planes in three or more."""
+        if self.dimension == 1:
+            (lo,), (hi,) = self.vertices
+            return lo - tol <= float(point[0]) <= hi + tol
+        if self.dimension == 2:
+            return _polygon_distance(self.vertices, (float(point[0]), float(point[1]))) <= tol
         p = np.asarray(point, dtype=float)
         dirs = np.asarray(self.directions)
         return bool(np.all(dirs @ p <= np.asarray(self.support) + tol))
+
+
+def _polygon_distance(
+    verts: Sequence[tuple[float, float]], p: tuple[float, float]
+) -> float:
+    """Euclidean distance from p to the convex polygon with these CCW
+    vertices (a segment or a point when there are fewer than three)."""
+    px, py = p
+    edges = list(zip(verts, verts[1:] + verts[:1]))
+    if len(verts) >= 3 and all(
+        (bx - ax) * (py - ay) - (by - ay) * (px - ax) >= 0.0 for (ax, ay), (bx, by) in edges
+    ):
+        return 0.0
+    best = np.inf
+    for (ax, ay), (bx, by) in edges:
+        dx, dy = bx - ax, by - ay
+        length2 = dx * dx + dy * dy
+        t = 0.0
+        if length2 > 0.0:
+            t = min(max(((px - ax) * dx + (py - ay) * dy) / length2, 0.0), 1.0)
+        best = min(best, hypot(px - ax - t * dx, py - ay - t * dy))
+    return best
 
 
 def image_polytope(

@@ -28,7 +28,7 @@ from .axioms import (
     check_restricted_pareto,
     continuity_probe,
 )
-from .measure import Coarsening, Density, Infeasible, TOL_EXACT
+from .measure import Coarsening, Density, Infeasible, TOL_EXACT, cell_values
 from .prefs import (
     Act,
     INDIFFERENT,
@@ -202,7 +202,7 @@ def _fiber_tilt(rng: random.Random, d: Density, cell_bps: Sequence[float]) -> De
             m = 0.5 * (a + b)
             if a < m < b:
                 pts = [a, m, b]
-        vals = [d.value_at(0.5 * (x + y)) for x, y in zip(pts[:-1], pts[1:])]
+        vals = cell_values(d, pts)
         widths = [y - x for x, y in zip(pts[:-1], pts[1:])]
         if len(pts) == 2:
             # sliver cell with no splittable interior: pass it through
@@ -381,21 +381,19 @@ def pareto_scenario(
         raise ScenarioRejected("no unanimous pair of constant acts")
     beliefs = [prof.agents[i].belief for i in ids]
     labs = prof.space.labels
+    star = max(labs, key=lambda lab: min(u.value(lab) for u in utils))
+    floor = min(u.value(star) for u in utils)
     for _ in range(60):
         raw = [rng.uniform(0.05, 1.0) for _ in labs]
         tot = fsum(raw)
-        lot_g = Lottery({lab: v / tot for lab, v in zip(labs, raw)}, prof.space)
-        evs = [fsum(u.value(lab) * lot_g.value(lab) for lab in labs) for u in utils]
-        star = max(labs, key=lambda lab: min(u.value(lab) for u in utils))
-        floor = min(u.value(star) for u in utils)
+        probs = {lab: v / tot for lab, v in zip(labs, raw)}
+        evs = [fsum(u.value(lab) * probs[lab] for lab in labs) for u in utils]
         if floor < max(evs) + 0.05:
             continue
         t = rng.uniform(0.25, 0.75)
+        lot_g = Lottery(probs, prof.space)
         lot_f = Lottery(
-            {
-                lab: (1.0 - t) * lot_g.value(lab) + (t if lab == star else 0.0)
-                for lab in labs
-            },
+            {lab: (1.0 - t) * p + (t if lab == star else 0.0) for lab, p in probs.items()},
             prof.space,
         )
         try:

@@ -9,6 +9,8 @@ keeps the answer deterministic, which the witness re-run guarantees rely on.
 
 from __future__ import annotations
 
+from math import inf
+
 import numpy as np
 
 # Pivot candidates below this magnitude are treated as zero.
@@ -72,23 +74,24 @@ def feasible_point(A, b) -> np.ndarray | None:
 
 def _pivot(T: np.ndarray, basis: list[int]) -> bool:
     """Bland-rule phase-1 pivoting on the tableau in place; False when it
-    fails numerically or runs out of iterations."""
+    fails numerically or runs out of iterations.  The column and row scans
+    run over Python floats, which divide and compare exactly as numpy's
+    float64 scalars do."""
     m = len(basis)
     for _ in range(_MAX_ITER):
-        enter = -1
-        for j in range(T.shape[1] - 1):
-            if T[m, j] < -PIVOT_EPS:
-                enter = j
+        # Bland: the first column with a negative reduced cost enters.
+        for enter, cost in enumerate(T[m, :-1].tolist()):
+            if cost < -PIVOT_EPS:
                 break
-        if enter < 0:
+        else:
             return True
-        # Ratio test; Bland tie-break on the smallest basis index.
+        # Ratio test in row order; Bland tie-break on the smallest basis
+        # index.
         leave = -1
-        best = np.inf
-        for i in range(m):
-            a = T[i, enter]
+        best = inf
+        for i, (a, rhs) in enumerate(zip(T[:m, enter].tolist(), T[:m, -1].tolist())):
             if a > PIVOT_EPS:
-                ratio = T[i, -1] / a
+                ratio = rhs / a
                 if ratio < best - PIVOT_EPS or (
                     ratio < best + PIVOT_EPS and (leave < 0 or basis[i] < basis[leave])
                 ):
@@ -98,11 +101,10 @@ def _pivot(T: np.ndarray, basis: list[int]) -> bool:
             # Unbounded phase-1 objective cannot happen (it is bounded
             # below by zero); treat as numerical failure.
             return False
-        piv = T[leave, enter]
-        T[leave] /= piv
+        T[leave] /= T[leave, enter]
         col = T[:, enter].copy()
         col[leave] = 0.0
-        T -= np.outer(col, T[leave])
+        T -= col[:, None] * T[leave]
         T[leave, enter] = 1.0
         basis[leave] = enter
     return False

@@ -15,9 +15,10 @@ Two tolerances are used throughout the package:
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from math import fsum
+from math import fsum, inf
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -164,17 +165,22 @@ class Density:
         bp, v = self.breakpoints, self.values
         if len(bp) < 2 or bp[0] != 0.0 or bp[-1] != 1.0:
             raise ValueError("breakpoints must run from 0.0 to 1.0")
-        if any(bp[i] >= bp[i + 1] for i in range(len(bp) - 1)):
-            raise ValueError("breakpoints must be strictly increasing")
         if len(v) != len(bp) - 1:
             raise ValueError("need exactly one value per grid cell")
-        if any(val < 0.0 for val in v):
-            raise ValueError("density values must be nonnegative")
+        # One pass over the cells; NaN fails every comparison, so a NaN
+        # breakpoint or value is rejected along with the rest.
         cum = [0.0]
-        for i, val in enumerate(v):
-            cum.append(cum[-1] + val * (bp[i + 1] - bp[i]))
-        if abs(cum[-1] - 1.0) > TOL_MEASURE:
-            raise ValueError(f"density integrates to {cum[-1]}, not 1")
+        a = total = 0.0
+        for b, val in zip(bp[1:], v):
+            if not a < b:
+                raise ValueError("breakpoints must be strictly increasing")
+            if not 0.0 <= val < inf:
+                raise ValueError("density values must be finite and nonnegative")
+            total += val * (b - a)
+            cum.append(total)
+            a = b
+        if not abs(total - 1.0) <= TOL_MEASURE:
+            raise ValueError(f"density integrates to {total}, not 1")
         object.__setattr__(self, "_cum", tuple(cum))
 
     # -- constructors -------------------------------------------------
@@ -235,33 +241,74 @@ def measure(density: Density, event: EventSet) -> float:
     return fsum(density.mass(a, b) for a, b in event.intervals)
 
 
+def _values_along(density: Density, points: Iterable[float]) -> list[float]:
+    """`density.value_at(x)` for each of a non-decreasing run of points, by
+    one walk along the breakpoints instead of a search per point."""
+    bp, vals = density.breakpoints, density.values
+    last = len(vals) - 1
+    i = 0
+    edge = bp[1] if last else inf  # right end of cell i; none for the last
+    out = []
+    for x in points:
+        while x >= edge:
+            i += 1
+            edge = bp[i + 1] if i < last else inf
+        out.append(vals[i])
+    return out
+
+
+def cell_values(density: Density, grid: Sequence[float]) -> list[float]:
+    """`value_at` of each cell's left end, for the cells [grid[k],
+    grid[k+1]) of a sorted grid.  Where the grid refines the density's
+    breakpoints, that is the density's value on the whole cell."""
+    return _values_along(density, grid[:-1])
+
+
+def interval_masses(density: Density, segments: Iterable[Sequence]) -> list[float]:
+    """`density.mass(a, b)` of each segment (a, b, ...) of a run that starts
+    at 0, each segment starting where the last one ended (an act's
+    segments, say): one CDF value per segment end, by a walk along the
+    breakpoints as in `_values_along`."""
+    bp, vals, cum = density.breakpoints, density.values, density._cum
+    last = len(vals) - 1
+    i = 0
+    prev = 0.0
+    out = []
+    for seg in segments:
+        x = seg[1]
+        if x >= 1.0:
+            c = cum[-1]
+        else:
+            while i < last and bp[i + 1] <= x:
+                i += 1
+            c = cum[i] + vals[i] * (x - bp[i])
+        out.append(c - prev)
+        prev = c
+    return out
+
+
 def merged_breakpoints(densities: Sequence[Density], extra: Iterable[float] = ()) -> tuple[float, ...]:
     pts = {0.0, 1.0}
     for d in densities:
-        pts.update(d.breakpoints)
-    pts.update(float(x) for x in extra)
-    return tuple(sorted(p for p in pts if 0.0 <= p <= 1.0))
+        pts.update(d.breakpoints)  # within [0, 1] by construction
+    pts.update(x for x in map(float, extra) if 0.0 <= x <= 1.0)
+    return tuple(sorted(pts))
 
 
 def belief_distance(d1: Density, d2: Density) -> float:
     """sup over events of |P1(E) - P2(E)|: the total mass where d1 exceeds
     d2 (which equals the mass where d2 exceeds d1)."""
     bps = merged_breakpoints([d1, d2])
-    gains = []
-    for a, b in zip(bps[:-1], bps[1:]):
-        delta = (d1.value_at(a) - d2.value_at(a)) * (b - a)
-        if delta > 0.0:
-            gains.append(delta)
-    return fsum(gains)
+    cells = zip(cell_values(d1, bps), cell_values(d2, bps), map(sub, bps[1:], bps))
+    deltas = [(x - y) * w for x, y, w in cells]
+    return fsum(delta for delta in deltas if delta > 0.0)
 
 
 def segment_masses(density: Density, breakpoints: Sequence[float]) -> tuple[float, ...]:
     """Mass per cell of a refinement grid that contains the density's own
     breakpoints (each cell then has a single density value)."""
-    out = []
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        out.append(density.value_at(a) * (b - a))
-    return tuple(out)
+    widths = map(sub, breakpoints[1:], breakpoints)
+    return tuple(list(map(mul, cell_values(density, breakpoints), widths)))
 
 
 # ---------------------------------------------------------------------------
@@ -306,26 +353,22 @@ def lyapunov_event(
 
     region = within if within is not None else EventSet.FULL
     bps = merged_breakpoints(densities, (x for ab in region.intervals for x in ab))
-    segments = []
-    for a, b in zip(bps[:-1], bps[1:]):
-        if region.contains_point(a):
-            segments.append((a, b))
-    if not segments:
+    inside = [k for k, a in enumerate(bps[:-1]) if region.contains_point(a)]
+    if not inside:
         raise Infeasible("empty region")
+    segments = [(bps[k], bps[k + 1]) for k in inside]
     S = len(segments)
     n = len(densities)
 
     # Variables: fractions lam_s plus slacks sig_s for lam_s <= 1.
     A = np.zeros((n + S, 2 * S))
     b_vec = np.zeros(n + S)
-    for i, d in enumerate(densities):
-        for s, (a, b) in enumerate(segments):
-            A[i, s] = d.value_at(a) * (b - a)
-        b_vec[i] = targets[i]
-    for s in range(S):
-        A[n + s, s] = 1.0
-        A[n + s, S + s] = 1.0
-        b_vec[n + s] = 1.0
+    values = np.array([cell_values(d, bps) for d in densities])
+    A[:n, :S] = values[:, inside] * np.diff(bps)[inside]
+    b_vec[:n] = targets
+    A[n:, :S] = np.eye(S)
+    A[n:, S:] = np.eye(S)
+    b_vec[n:] = 1.0
 
     x = lp.feasible_point(A, b_vec)
     if x is None:
@@ -380,6 +423,9 @@ def halving_subalgebra(d1: Density, d2: Density, depth: int) -> DyadicPartition:
 # coarsenings (measurable quotient maps)
 
 
+_IDENTITY_PIECES = ((0.0, 1.0, 0.0, 1.0, +1),)
+
+
 @dataclass(frozen=True)
 class Coarsening:
     """Piecewise-affine surjection q of [0, 1) onto [0, 1).
@@ -416,7 +462,7 @@ class Coarsening:
 
     @staticmethod
     def identity() -> "Coarsening":
-        return Coarsening(((0.0, 1.0, 0.0, 1.0, +1),))
+        return Coarsening(_IDENTITY_PIECES)
 
     def as_dict(self) -> dict:
         return {"pieces": [list(p) for p in self.pieces]}
@@ -434,8 +480,11 @@ def pushforward_coarsening(q: Coarsening, density: Density) -> Density:
     Each affine piece contributes its source density divided by the
     absolute slope; overlapping targets add up. The result is again a
     proper piecewise-constant density (mass is conserved), so coarsened
-    beliefs stay non-atomic.
+    beliefs stay non-atomic.  The identity coarsening returns the density
+    itself.
     """
+    if q.pieces == _IDENTITY_PIECES:
+        return density
     pts = {0.0, 1.0}
     for sa, sb, ta, tb, orient in q.pieces:
         pts.add(ta)
@@ -448,17 +497,19 @@ def pushforward_coarsening(q: Coarsening, density: Density) -> Density:
                 else:
                     pts.add(ta + (sb - u) * slope)
     bps = tuple(sorted(pts))
-    values = []
-    for a, b in zip(bps[:-1], bps[1:]):
-        mid = 0.5 * (a + b)
-        total = 0.0
-        for sa, sb, ta, tb, orient in q.pieces:
-            if ta <= mid < tb:
-                slope = (tb - ta) / (sb - sa)
-                if orient > 0:
-                    src = sa + (mid - ta) / slope
-                else:
-                    src = sb - (mid - ta) / slope
-                total += density.value_at(src) / slope
-        values.append(total)
+    mids = [0.5 * (a + b) for a, b in zip(bps[:-1], bps[1:])]
+    values = [0.0] * len(mids)
+    for sa, sb, ta, tb, orient in q.pieces:
+        # the cells whose midpoint the piece covers, and their source
+        # points, which run monotonically with the midpoints
+        lo, hi = bisect_left(mids, ta), bisect_left(mids, tb)
+        slope = (tb - ta) / (sb - sa)
+        if orient > 0:
+            srcs = [sa + (mid - ta) / slope for mid in mids[lo:hi]]
+            dens = _values_along(density, srcs)
+        else:
+            srcs = [sb - (mid - ta) / slope for mid in mids[lo:hi]]
+            dens = _values_along(density, reversed(srcs))[::-1]
+        for k, v in enumerate(dens, lo):
+            values[k] += v / slope
     return Density(bps, tuple(values))

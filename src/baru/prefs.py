@@ -12,7 +12,7 @@ preference metric can both be computed from the pairs directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import fsum
+from math import fsum, isfinite
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ from .measure import (
     Density,
     EventSet,
     Infeasible,
+    interval_masses,
     measure,
     merged_breakpoints,
     segment_masses,
@@ -66,13 +67,16 @@ class OutcomeSpace:
 
 
 class _LabelledVector:
-    """Shared plumbing for label->float maps kept in canonical tuple form."""
+    """Shared plumbing for label->float maps kept in canonical tuple form:
+    `items` sorted by label, `labels` in the same order."""
 
-    __slots__ = ("items", "_map")
+    __slots__ = ("items", "labels", "_map")
 
-    def __init__(self, items: tuple[tuple[str, float], ...]):
+    def __init__(self, data: dict[str, float]):
+        items = tuple(sorted(data.items()))
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "_map", dict(items))
+        object.__setattr__(self, "labels", tuple(self._map))
 
     def __setattr__(self, *_):
         raise AttributeError("immutable")
@@ -82,10 +86,6 @@ class _LabelledVector:
             return self._map[label]
         except KeyError:
             raise ValueError(f"unknown outcome {label!r}") from None
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(k for k, _ in self.items)
 
     def as_mapping(self) -> dict[str, float]:
         return dict(self.items)
@@ -105,13 +105,24 @@ class Utility(_LabelledVector):
     """Normalised utility: minimum exactly 0, maximum exactly 1."""
 
     def __init__(self, values: Mapping[str, float]):
-        items = tuple(sorted((str(k), float(v)) for k, v in values.items()))
-        if not items:
+        data = {str(k): float(v) for k, v in values.items()}
+        if not data:
             raise ValueError("utility needs outcomes")
-        vals = [v for _, v in items]
+        vals = data.values()
+        if not all(map(isfinite, vals)):
+            raise ValueError("utility values must be finite")
         if abs(min(vals)) > TOL_EXACT or abs(max(vals) - 1.0) > TOL_EXACT:
             raise ValueError("utility must be normalised to min 0, max 1")
-        super().__init__(items)
+        super().__init__(data)
+
+    @classmethod
+    def _rescaled(cls, vals: dict[str, float], lo: float, span: float) -> "Utility":
+        """(v - lo) / span for finite values with minimum lo and range
+        span > 0.  That is exactly 0 at the minimum and exactly 1 at the
+        maximum, so the constructor's checks cannot fail and are skipped."""
+        self = cls.__new__(cls)
+        _LabelledVector.__init__(self, {k: (v - lo) / span for k, v in vals.items()})
+        return self
 
 
 class Lottery(_LabelledVector):
@@ -125,13 +136,14 @@ class Lottery(_LabelledVector):
                     raise ValueError(f"lottery outcome {lab!r} not in space")
             for lab in space.labels:
                 data.setdefault(lab, 0.0)
-        items = tuple(sorted(data.items()))
-        vals = [v for _, v in items]
-        if any(v < -TOL_MEASURE for v in vals):
+        vals = data.values()
+        if not all(map(isfinite, vals)):
+            raise ValueError("lottery probabilities must be finite")
+        if min(vals, default=0.0) < -TOL_MEASURE:
             raise ValueError("lottery probabilities must be nonnegative")
         if abs(fsum(vals) - 1.0) > TOL_MEASURE:
             raise ValueError("lottery probabilities must sum to one")
-        super().__init__(items)
+        super().__init__(data)
 
 
 def normalize_utility(raw: Mapping[str, float], space: OutcomeSpace) -> Utility | None:
@@ -146,12 +158,13 @@ def normalize_utility(raw: Mapping[str, float], space: OutcomeSpace) -> Utility 
     if len(raw) != len(space.labels):
         extra = set(raw) - set(space.labels)
         raise ValueError(f"utility has unknown outcomes {sorted(extra)}")
+    if not all(map(isfinite, vals.values())):
+        raise ValueError("utility values must be finite")
     lo = min(vals.values())
     hi = max(vals.values())
     if hi - lo <= TOL_EXACT:
         return None
-    span = hi - lo
-    return Utility({k: (v - lo) / span for k, v in vals.items()})
+    return Utility._rescaled(vals, lo, hi - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -262,20 +275,25 @@ class Profile:
 
     space: OutcomeSpace
     agents: tuple[Preference, ...]
+    _concerned: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.agents) < 3:
             raise ValueError("a profile needs at least three agents")
-        want = set(self.space.labels)
+        want = self.space._index.keys()
+        concerned = []
         for k, pref in enumerate(self.agents):
             if not isinstance(pref, Preference):
                 raise ValueError(f"agent {k} is not a Preference")
-            if not pref.is_indifferent and set(pref.utility.labels) != want:
-                raise ValueError(f"agent {k} utility is not over the profile's outcomes")
+            if not pref.is_indifferent:
+                if pref.utility._map.keys() != want:
+                    raise ValueError(f"agent {k} utility is not over the profile's outcomes")
+                concerned.append(k)
+        object.__setattr__(self, "_concerned", tuple(concerned))
 
     @property
     def concerned(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.agents) if not p.is_indifferent)
+        return self._concerned
 
     def replace(self, agent: int, pref: Preference) -> "Profile":
         agents = list(self.agents)
@@ -301,17 +319,18 @@ def expected_utility(pref: Preference, act: Act) -> float:
     """Expected utility of the act; complete indifference scores 0."""
     if pref.is_indifferent:
         return 0.0
-    belief, util = pref.belief, pref.utility
-    return fsum(belief.mass(a, b) * util.value(lab) for a, b, lab in act.segments)
+    util = pref.utility
+    masses = interval_masses(pref.belief, act.segments)
+    return fsum(m * util.value(lab) for m, (_, _, lab) in zip(masses, act.segments))
 
 
 def pushforward(act: Act, belief: Density, space: OutcomeSpace) -> Lottery:
     """Outcome distribution the act induces from the belief."""
     acc = {lab: [] for lab in space.labels}
-    for a, b, lab in act.segments:
+    for m, (_, _, lab) in zip(interval_masses(belief, act.segments), act.segments):
         if lab not in acc:
             raise ValueError(f"act outcome {lab!r} not in space")
-        acc[lab].append(belief.mass(a, b))
+        acc[lab].append(m)
     return Lottery({lab: fsum(parts) for lab, parts in acc.items()})
 
 
@@ -489,26 +508,25 @@ def preference_distance(p: Preference, q: Preference) -> float:
     by convention (the functionals live on different scales; callers that
     care can treat that value as an out-of-metric flag).
     """
-    if p.is_indifferent and q.is_indifferent:
+    if p == q:
+        # every per-segment gap below is then exactly zero
         return 0.0
     if p.is_indifferent or q.is_indifferent:
         return 1.0
-    labels = p.utility.labels
-    if set(labels) != set(q.utility.labels):
+    # labels are kept sorted, so equal label sets give equal tuples
+    if p.utility.labels != q.utility.labels:
         raise ValueError("preferences range over different outcomes")
     bps = merged_breakpoints((p.belief, q.belief))
-    mp = segment_masses(p.belief, bps)
-    mq = segment_masses(q.belief, bps)
-    up = [p.utility.value(lab) for lab in labels]
-    uq = [q.utility.value(lab) for lab in labels]
-    best = 0.0
-    for sign in (1.0, -1.0):
-        total = fsum(
-            max(sign * (mp[s] * up[k] - mq[s] * uq[k]) for k in range(len(labels)))
-            for s in range(len(mp))
-        )
-        best = max(best, total)
-    return best
+    up = [v for _, v in p.utility.items]
+    uq = [v for _, v in q.utility.items]
+    # per segment, the best act picks the outcome with the largest gap in
+    # one direction (ahead) or the other (behind)
+    ahead, behind = [], []
+    for mp, mq in zip(segment_masses(p.belief, bps), segment_masses(q.belief, bps)):
+        row = [mp * x - mq * y for x, y in zip(up, uq)]
+        ahead.append(max(row))
+        behind.append(-min(row))
+    return max(0.0, fsum(ahead), fsum(behind))
 
 
 # ---------------------------------------------------------------------------

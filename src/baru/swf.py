@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,6 +21,8 @@ from .measure import (
     TOL_EXACT,
     TOL_MEASURE,
     belief_distance,
+    cell_values,
+    interval_masses,
     merged_breakpoints,
 )
 from .prefs import (
@@ -71,7 +74,8 @@ class SwfResult:
         if self.belief is None or self.raw_utility is None:
             return 0.0
         raw = dict(self.raw_utility)
-        return fsum(self.belief.mass(a, b) * raw[lab] for a, b, lab in act.segments)
+        masses = interval_masses(self.belief, act.segments)
+        return fsum(m * raw[lab] for m, (_, _, lab) in zip(masses, act.segments))
 
     def compare(self, f: Act, g: Act) -> Comparison:
         return Comparison(self.ev(f) - self.ev(g))
@@ -95,26 +99,25 @@ def _merge(
     total_bw = fsum(bw for _, _, bw, _ in live)
     if total_bw <= 0.0:
         raise ValueError("belief weights must have positive total")
-    bps = merged_breakpoints([p.belief for _, p, bw, _ in live if bw > 0.0])
-    values = []
-    for s in range(len(bps) - 1):
-        mid = 0.5 * (bps[s] + bps[s + 1])
-        values.append(
-            fsum((bw / total_bw) * p.belief.value_at(mid) for _, p, bw, _ in live if bw > 0.0)
-        )
-    belief = Density(bps, tuple(values))
+    believers = [(bw / total_bw, p.belief) for _, p, bw, _ in live if bw > 0.0]
+    bps = merged_breakpoints([d for _, d in believers])
+    weights = [w for w, _ in believers]
+    # one row per believer, one column per cell of the common grid
+    rows = [cell_values(d, bps) for _, d in believers]
+    belief = Density(bps, tuple([fsum(map(mul, weights, col)) for col in zip(*rows)]))
     labels = profile.space.labels
-    raw = tuple(
-        (lab, fsum(uw * p.utility.value(lab) for _, p, _, uw in live)) for lab in labels
-    )
-    norm = normalize_utility({lab: v for lab, v in raw}, profile.space)
+    uws = [uw for _, _, _, uw in live]
+    # one row per contributor, one column per outcome
+    utils = [list(map(p.utility.value, labels)) for _, p, _, _ in live]
+    raw = tuple([(lab, fsum(map(mul, uws, col))) for lab, col in zip(labels, zip(*utils))])
+    norm = normalize_utility(dict(raw), profile.space)
     pref = INDIFFERENT if norm is None else Preference(belief, norm)
     return SwfResult(
         pref,
         belief,
         raw,
-        tuple((i, bw) for i, _, bw, _ in live),
-        tuple((i, uw) for i, _, _, uw in live),
+        tuple([(i, bw) for i, _, bw, _ in live]),
+        tuple([(i, uw) for i, _, _, uw in live]),
         concerned,
     )
 
@@ -423,11 +426,10 @@ def geometric_pool(densities: Sequence[Density]) -> Density:
     n = len(densities)
     bps = merged_breakpoints(densities)
     vals = []
-    for s in range(len(bps) - 1):
-        mid = 0.5 * (bps[s] + bps[s + 1])
+    for col in zip(*(cell_values(d, bps) for d in densities)):
         prod = 1.0
-        for d in densities:
-            prod *= d.value_at(mid)
+        for v in col:
+            prod *= v
         vals.append(prod ** (1.0 / n) if prod > 0.0 else 0.0)
     total = fsum(v * (bps[s + 1] - bps[s]) for s, v in enumerate(vals))
     if total <= TOL_EXACT:

@@ -404,3 +404,34 @@ def test_continuity_requires_two_concerned(table1):
     solo = Profile(SPACE, (profile.agents[0], INDIFFERENT, INDIFFERENT))
     with pytest.raises(ScenarioRejected):
         continuity_probe(baru, solo)
+
+
+def _median_cut_reference(d: Density) -> float:
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if d.cdf(mid) < 0.5:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_median_cut_matches_cdf_bisection(rng):
+    from baru.axioms import _median_cut
+
+    for _ in range(300):
+        cuts = sorted({rng.randrange(1, 32) / 32 for _ in range(rng.randint(0, 5))})
+        bps = (0.0, *cuts, 1.0)
+        raw = [rng.choice((0.0, rng.uniform(0.1, 3.0))) for _ in range(len(bps) - 1)]
+        if sum(raw) == 0.0:
+            raw[0] = 1.0
+        total = sum(v * (b - a) for v, a, b in zip(raw, bps[:-1], bps[1:]))
+        d = Density(bps, tuple(v / total for v in raw))
+        assert _median_cut(d) == _median_cut_reference(d)
+    # the median on a breakpoint, and a median in a cell after an empty one
+    for d in (
+        Density((0.0, 0.5, 1.0), (1.0, 1.0)),
+        Density((0.0, 0.25, 0.5, 1.0), (0.0, 2.0, 1.0)),
+    ):
+        assert _median_cut(d) == _median_cut_reference(d)

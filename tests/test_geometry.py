@@ -160,6 +160,26 @@ def test_contains_accepts_attained_rejects_outside(table1):
     assert not poly.contains((0.9999, 0.9999))  # off the upper-right face
 
 
+def test_contains_is_exact_in_two_dimensions(thin_gap):
+    # d lies 1e-5 outside the image without it, inside a cone narrower
+    # than the spacing of the sampled directions
+    profile, n, delta = thin_gap
+    d = (0.65 + delta * n[0], 0.6 + delta * n[1])
+    assert image_polytope(profile).contains(d)
+    without_d = image_polytope(profile, (None, ("a", "b", "c")))
+    assert not without_d.contains(d)
+    assert without_d.contains((0.65, 0.6))  # on the edge from b to c
+    assert without_d.contains((0.65 + 1e-10 * n[0], 0.6 + 1e-10 * n[1]))
+
+
+def test_contains_one_agent_interval():
+    pref = Preference(Density.uniform(), Utility({"a": 1.0, "b": 0.0, "c": 0.4, "d": 0.2}))
+    poly = image_polytope(Profile(SPACE, (INDIFFERENT, pref, INDIFFERENT)))
+    assert poly.contains((0.0,)) and poly.contains((0.5,)) and poly.contains((1.0,))
+    assert not poly.contains((1.0 + 1e-6,))
+    assert not poly.contains((-1e-6,))
+
+
 def test_single_agent_image_is_segment():
     pref = Preference(
         Density.from_state_probs((0.25, 0.75)),

@@ -23,6 +23,7 @@ from baru import (
     pushforward_coarsening,
     segment_masses,
 )
+from baru.measure import cell_values, interval_masses
 
 
 def test_eventset_complement_partitions_unit_interval():
@@ -263,3 +264,115 @@ def test_lyapunov_event_random_targets_joint():
         ev = lyapunov_event((d1, d2), (t, t))
         assert abs(measure(d1, ev) - t) <= TOL_MEASURE
         assert abs(measure(d2, ev) - t) <= TOL_MEASURE
+
+
+def test_density_rejects_non_finite_numbers():
+    with pytest.raises(ValueError):
+        Density((0.0, 1.0), (math.nan,))
+    with pytest.raises(ValueError):
+        Density((0.0, math.nan, 1.0), (1.0, 1.0))
+    with pytest.raises(ValueError):
+        Density((0.0, 0.5, 1.0), (math.inf, 0.0))
+
+
+# Reference implementations: the per-point `value_at` / `mass` lookups
+# that the one-pass walks replace, compared with exact equality.
+
+
+def _random_density(rng: random.Random, max_pieces: int = 6) -> Density:
+    cuts = sorted({rng.randrange(1, 64) / 64 for _ in range(rng.randint(0, max_pieces - 1))})
+    bps = (0.0, *cuts, 1.0)
+    raw = [rng.uniform(0.1, 3.0) for _ in range(len(bps) - 1)]
+    total = math.fsum(v * (b - a) for v, a, b in zip(raw, bps[:-1], bps[1:]))
+    return Density(bps, tuple(v / total for v in raw))
+
+
+def _refinement(rng: random.Random, d: Density) -> tuple[float, ...]:
+    """d's breakpoints plus random points, some of them one ulp either side
+    of a breakpoint, which leaves sliver cells."""
+    pts = set(d.breakpoints)
+    pts.update(rng.random() for _ in range(rng.randint(0, 6)))
+    for x in d.breakpoints[1:-1]:
+        if rng.random() < 0.6:
+            pts.add(math.nextafter(x, 0.0))
+        if rng.random() < 0.6:
+            pts.add(math.nextafter(x, 1.0))
+    return tuple(sorted(pts))
+
+
+def test_cell_values_match_value_at_on_refinements():
+    rng = random.Random(5150)
+    slivers = 0
+    for _ in range(500):
+        d = _random_density(rng)
+        grid = _refinement(rng, d)
+        slivers += sum(b == math.nextafter(a, 1.0) for a, b in zip(grid[:-1], grid[1:]))
+        assert cell_values(d, grid) == [d.value_at(a) for a in grid[:-1]]
+        assert segment_masses(d, grid) == tuple(
+            d.value_at(a) * (b - a) for a, b in zip(grid[:-1], grid[1:])
+        )
+    assert slivers > 100
+
+
+def test_interval_masses_match_density_mass():
+    rng = random.Random(6160)
+    for _ in range(500):
+        d = _random_density(rng)
+        inner = {rng.random() for _ in range(rng.randint(0, 8))}
+        inner.update(rng.choice(d.breakpoints) for _ in range(2))
+        edges = sorted(inner | {0.0, 1.0})
+        segments = list(zip(edges[:-1], edges[1:]))
+        assert interval_masses(d, segments) == [d.mass(a, b) for a, b in segments]
+
+
+def _pushforward_reference(q: Coarsening, density: Density) -> Density:
+    pts = {0.0, 1.0}
+    for sa, sb, ta, tb, orient in q.pieces:
+        pts.update((ta, tb))
+        slope = (tb - ta) / (sb - sa)
+        for u in density.breakpoints:
+            if sa < u < sb:
+                pts.add(ta + (u - sa) * slope if orient > 0 else ta + (sb - u) * slope)
+    bps = tuple(sorted(pts))
+    values = []
+    for a, b in zip(bps[:-1], bps[1:]):
+        mid = 0.5 * (a + b)
+        total = 0.0
+        for sa, sb, ta, tb, orient in q.pieces:
+            if ta <= mid < tb:
+                slope = (tb - ta) / (sb - sa)
+                src = sa + (mid - ta) / slope if orient > 0 else sb - (mid - ta) / slope
+                total += density.value_at(src) / slope
+        values.append(total)
+    return Density(bps, tuple(values))
+
+
+def _random_coarsening(rng: random.Random) -> Coarsening:
+    cuts = sorted(rng.sample(range(1, 16), rng.randint(0, 5)))
+    src = [0.0, *(c / 16 for c in cuts), 1.0]
+    pieces = []
+    for k, (sa, sb) in enumerate(zip(src[:-1], src[1:])):
+        if k == 0:
+            ta, tb = 0.0, 1.0  # covers the target interval
+        else:
+            lo, hi = sorted(rng.sample(range(9), 2))
+            ta, tb = lo / 8, hi / 8
+        pieces.append((sa, sb, ta, tb, rng.choice((+1, -1))))
+    return Coarsening(tuple(pieces))
+
+
+def test_pushforward_matches_per_point_reference():
+    rng = random.Random(7170)
+    for _ in range(300):
+        d = _random_density(rng)
+        q = _random_coarsening(rng)
+        assert pushforward_coarsening(q, d) == _pushforward_reference(q, d)
+
+
+def test_identity_pushforward_is_the_density_itself():
+    rng = random.Random(8180)
+    for _ in range(100):
+        d = _random_density(rng)
+        out = pushforward_coarsening(Coarsening.identity(), d)
+        assert out is d
+        assert _pushforward_reference(Coarsening.identity(), d) == d

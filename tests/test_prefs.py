@@ -27,6 +27,7 @@ from baru import (
     realize_lottery_act,
     simple_reduction,
 )
+from baru.measure import merged_breakpoints, segment_masses
 
 SPACE = OutcomeSpace(("a", "b", "c", "d"))
 
@@ -70,6 +71,17 @@ def test_utility_requires_unit_normalization():
     assert u.value("c") == 0.25
     with pytest.raises(ValueError):
         u.value("missing")
+
+
+def test_utility_rejects_non_finite_values():
+    with pytest.raises(ValueError):
+        Utility({"a": 0.0, "b": 1.0, "c": math.nan})
+    with pytest.raises(ValueError):
+        Utility({"a": 0.0, "b": 1.0, "c": math.inf})
+    with pytest.raises(ValueError):
+        normalize_utility({"a": math.nan, "b": 1.0, "c": 1.0, "d": 1.0}, SPACE)
+    with pytest.raises(ValueError):
+        normalize_utility({"a": 0.0, "b": 1.0, "c": -math.inf, "d": 1.0}, SPACE)
 
 
 def test_normalize_utility_strips_positive_affine_maps():
@@ -152,6 +164,39 @@ def test_lottery_validation():
     assert lot.value("d") == 0.0
 
 
+def test_lottery_rejects_non_finite_probabilities():
+    with pytest.raises(ValueError):
+        Lottery({"a": math.nan, "b": 1.0})
+    with pytest.raises(ValueError):
+        Lottery({"a": math.inf, "b": -math.inf})
+
+
+def _random_belief(rng: random.Random) -> Density:
+    cuts = sorted({rng.randrange(1, 32) / 32 for _ in range(rng.randint(0, 5))})
+    bps = (0.0, *cuts, 1.0)
+    raw = [rng.uniform(0.1, 3.0) for _ in range(len(bps) - 1)]
+    total = math.fsum(v * (b - a) for v, a, b in zip(raw, bps[:-1], bps[1:]))
+    return Density(bps, tuple(v / total for v in raw))
+
+
+def test_expected_utility_and_pushforward_match_per_segment_masses(rng):
+    # one CDF value per act edge gives exactly Density.mass of each segment
+    for _ in range(300):
+        belief = _random_belief(rng)
+        edges = sorted({0.0, 1.0, *(rng.random() for _ in range(rng.randint(0, 6)))})
+        act = Act(tuple((a, b, rng.choice(SPACE.labels)) for a, b in zip(edges[:-1], edges[1:])))
+        u = Utility({"a": 0.0, "b": 1.0, "c": rng.random(), "d": rng.random()})
+        masses = [belief.mass(a, b) for a, b, _ in act.segments]
+        assert expected_utility(Preference(belief, u), act) == math.fsum(
+            m * u.value(lab) for m, (_, _, lab) in zip(masses, act.segments)
+        )
+        lot = pushforward(act, belief, SPACE)
+        for lab in SPACE.labels:
+            assert lot.value(lab) == math.fsum(
+                m for m, (_, _, x) in zip(masses, act.segments) if x == lab
+            )
+
+
 def test_realize_lottery_act_single_belief():
     target = Lottery({"a": 0.25, "b": 0.5, "c": 0.25}, SPACE)
     d = Density.from_state_probs((0.7, 0.3))
@@ -213,6 +258,36 @@ def test_simple_reduction_bounds_range_per_group(rng):
 def test_preference_distance_identical_zero(table1):
     profile, _, _ = table1
     assert preference_distance(profile.agents[0], profile.agents[0]) == 0.0
+
+
+def _preference_distance_reference(p, q):
+    """The signed two-pass form: max over outcomes of +gap, then of -gap."""
+    labels = p.utility.labels
+    bps = merged_breakpoints((p.belief, q.belief))
+    mp, mq = segment_masses(p.belief, bps), segment_masses(q.belief, bps)
+    up = [p.utility.value(lab) for lab in labels]
+    uq = [q.utility.value(lab) for lab in labels]
+    best = 0.0
+    for sign in (1.0, -1.0):
+        total = math.fsum(
+            max(sign * (mp[s] * up[k] - mq[s] * uq[k]) for k in range(len(labels)))
+            for s in range(len(mp))
+        )
+        best = max(best, total)
+    return best
+
+
+def test_preference_distance_matches_two_pass_reference(rng):
+    for _ in range(300):
+        p, q = (
+            Preference(
+                _random_belief(rng),
+                Utility({"a": 0.0, "b": 1.0, "c": rng.random(), "d": rng.random()}),
+            )
+            for _ in range(2)
+        )
+        assert preference_distance(p, q) == _preference_distance_reference(p, q)
+        assert preference_distance(p, p) == _preference_distance_reference(p, p) == 0.0
 
 
 def test_preference_distance_table1_pair(table1):

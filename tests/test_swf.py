@@ -88,6 +88,18 @@ def test_baru_constant_sum_is_indifferent_but_keeps_belief():
     assert result.belief.mass(0.0, 0.5) == pytest.approx(0.6, abs=1e-12)
 
 
+def test_baru_swapped_profile_is_bit_identical(rng):
+    # fsum makes the aggregate independent of agent order, bit for bit;
+    # preference_distance's exact-zero shortcut for equal preferences and
+    # the anonymity battery lean on that
+    for _ in range(300):
+        profile = random_profile(rng)
+        base = baru(profile).preference
+        for i in range(len(profile.agents)):
+            for j in range(i + 1, len(profile.agents)):
+                assert baru(profile.swapped(i, j)).preference == base
+
+
 def test_ex_ante_scores_table1(table1):
     profile, f, g = table1
     assert ex_ante_scores(profile, (f, g)) == pytest.approx((1.8, 1.7), abs=1e-12)
