@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import fsum
 from typing import Callable, Mapping, Sequence
 
 from . import __version__
@@ -27,7 +26,7 @@ from .harness import (
     child_seed,
     violation_witness,
 )
-from .measure import Coarsening, Density, TOL_EXACT, segment_masses
+from .measure import Coarsening, Density, segment_masses
 from .prefs import (
     Act,
     INDIFFERENT,

@@ -357,23 +357,13 @@ def lyapunov_event(
     if not inside:
         raise Infeasible("empty region")
     segments = [(bps[k], bps[k + 1]) for k in inside]
-    S = len(segments)
-    n = len(densities)
 
-    # Variables: fractions lam_s plus slacks sig_s for lam_s <= 1.
-    A = np.zeros((n + S, 2 * S))
-    b_vec = np.zeros(n + S)
-    values = np.array([cell_values(d, bps) for d in densities])
-    A[:n, :S] = values[:, inside] * np.diff(bps)[inside]
-    b_vec[:n] = targets
-    A[n:, :S] = np.eye(S)
-    A[n:, S:] = np.eye(S)
-    b_vec[n:] = 1.0
-
-    x = lp.feasible_point(A, b_vec)
+    # One fraction 0 <= lam_s <= 1 per segment; one row per density.
+    A = np.array([cell_values(d, bps) for d in densities])[:, inside] * np.diff(bps)[inside]
+    x = lp.feasible_point(A, np.asarray(targets, dtype=float), upper=1.0)
     if x is None:
         raise Infeasible(f"no event attains probabilities {tuple(targets)}")
-    event = _event_from_fractions(segments, x[:S])
+    event = _event_from_fractions(segments, x)
     for i, d in enumerate(densities):
         got = measure(d, event)
         if abs(got - targets[i]) > TOL_MEASURE:

@@ -22,10 +22,8 @@ from .measure import (
     TOL_EXACT,
     TOL_MEASURE,
     Density,
-    EventSet,
     Infeasible,
     interval_masses,
-    measure,
     merged_breakpoints,
     segment_masses,
 )
@@ -256,15 +254,6 @@ class Preference:
     def is_indifferent(self) -> bool:
         return self.belief is None
 
-    @staticmethod
-    def from_raw(
-        belief: Density, raw_utility: Mapping[str, float], space: OutcomeSpace
-    ) -> "Preference":
-        u = normalize_utility(raw_utility, space)
-        if u is None:
-            return INDIFFERENT
-        return Preference(belief, u)
-
 
 INDIFFERENT = Preference(None, None)
 
@@ -363,51 +352,39 @@ def realize_lottery_act(
 ) -> Act:
     """Act whose pushforward equals the lottery under every given belief.
 
-    Allocation fractions per refinement segment and outcome are solved as
-    a feasibility LP.  A solution always exists (allocating every segment
-    with the lottery's own weights works), so failure here indicates an
-    internal solver problem and raises Infeasible.
+    Outcomes with positive weight take shares of the beliefs' common grid
+    cells in label order, laid out left to right within each cell.  Each
+    but the last solves M lam = p_k for 0 <= lam <= free, where M holds
+    the cell masses per belief and `free` the shares not yet taken; the
+    last takes what is left.  Every solve is feasible: `free` leaves the
+    same mass r under every belief, so lam = (p_k / r) free works, and
+    Infeasible here means an internal solver problem.
     """
     if not beliefs:
         raise ValueError("need at least one belief")
     lott = lottery if isinstance(lottery, Lottery) else Lottery(lottery, space)
-    labels = space.labels
-    X = len(labels)
     bps = merged_breakpoints(beliefs)
-    segs = list(zip(bps[:-1], bps[1:]))
-    S = len(segs)
-    masses = [segment_masses(d, bps) for d in beliefs]
-
-    A = np.zeros((S + len(beliefs) * X, S * X))
-    b = np.zeros(S + len(beliefs) * X)
-    for s in range(S):
-        A[s, s * X : (s + 1) * X] = 1.0
-        b[s] = 1.0
-    for i in range(len(beliefs)):
-        for k, lab in enumerate(labels):
-            row = S + i * X + k
-            for s in range(S):
-                A[row, s * X + k] = masses[i][s]
-            b[row] = lott.value(lab)
-    x = lp.feasible_point(A, b)
-    if x is None:
-        raise Infeasible("internal: lottery allocation LP reported infeasible")
+    M = np.array([segment_masses(d, bps) for d in beliefs])
+    weighted = [(lab, p) for lab in space.labels if (p := lott.value(lab)) > 0.0]
+    free = np.ones(len(bps) - 1)
+    shares = []
+    for lab, p in weighted[:-1]:
+        lam = lp.feasible_point(M, np.full(len(beliefs), p), upper=free)
+        if lam is None:
+            raise Infeasible("internal: lottery allocation LP reported infeasible")
+        shares.append((lab, lam.tolist()))
+        free = free - lam
+    shares.append((weighted[-1][0], free.tolist()))
 
     pieces: list[tuple[float, float, str]] = []
-    for s, (a, bnd) in enumerate(segs):
-        width = bnd - a
-        running = a
-        local: list[list] = []
-        for k, lab in enumerate(labels):
-            lam = x[s * X + k]
-            if lam > 1e-12:
-                w = lam * width
-                local.append([running, running + w, lab])
-                running += w
-        if not local:
-            local.append([a, bnd, labels[0]])
-        local[-1][1] = bnd  # absorb rounding drift at the segment edge
-        pieces.extend((p[0], p[1], p[2]) for p in local)
+    for s, (a, bnd) in enumerate(zip(bps[:-1], bps[1:])):
+        start = a
+        for lab, lam in shares:
+            if lam[s] > 1e-12:
+                end = start + lam[s] * (bnd - a)
+                pieces.append((start, end, lab))
+                start = end
+        pieces[-1] = (pieces[-1][0], bnd, pieces[-1][2])  # absorb drift at the cell edge
     return Act.from_segments(pieces, merge=True)
 
 

@@ -86,9 +86,11 @@ def test_degenerate_duplicate_rows_fine():
     assert np.abs(A @ x - b).max() <= FEAS_TOL
 
 
-def _pivot_reference(T, basis):
+def _pivot_reference(T, basis, bounds, flipped):
     """Bland-rule phase 1 one scalar at a time: the first column with a
-    negative reduced cost enters; the ratio test walks the rows in order."""
+    negative reduced cost enters; the ratio test walks the rows in order.
+    It knows no upper bounds."""
+    assert all(u == np.inf for u in bounds) and not any(flipped)
     m = len(basis)
     for _ in range(lp._MAX_ITER):
         enter = -1
@@ -136,9 +138,9 @@ class _RecordedBasis(list):
 def _solve_with(monkeypatch, pivot, A, b):
     log = []
 
-    def recorded(T, basis):
+    def recorded(T, basis, *bounds_and_flips):
         rec = _RecordedBasis(basis, log)
-        ok = pivot(T, rec)
+        ok = pivot(T, rec, *bounds_and_flips)
         basis[:] = rec
         return ok
 
@@ -169,3 +171,83 @@ def test_pivot_matches_scalar_bland_reference(monkeypatch):
             assert np.array_equal(x, x_ref)
             outcomes["feasible"] += 1
     assert min(outcomes.values()) >= 30
+
+
+def _slack_form(A, b, upper):
+    """The same LP with each bound x_j <= u_j written as a row x_j + s_j = u_j."""
+    m, n = A.shape
+    big = np.block([[A, np.zeros((m, n))], [np.eye(n), np.eye(n)]])
+    return big, np.concatenate([b, upper])
+
+
+def test_bounded_variables_match_slack_row_form():
+    rng = np.random.default_rng(1965)
+    outcomes = {"feasible": 0, "infeasible": 0}
+    for trial in range(400):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(1, 16))
+        if trial % 3 == 0:
+            # small integers: many ratio-test ties, zero bounds and flips
+            A = rng.integers(-2, 3, size=(m, n)).astype(float)
+            upper = rng.integers(0, 3, size=n).astype(float)
+        else:
+            A = rng.normal(size=(m, n))
+            upper = rng.uniform(0.0, 2.0, size=n)
+        if trial % 2 == 0:
+            # feasible by construction, with some coordinates at a bound
+            x0 = rng.uniform(0.0, 1.0, size=n) * upper
+            x0[rng.random(n) < 0.3] = 0.0
+            at_top = rng.random(n) < 0.3
+            x0[at_top] = upper[at_top]
+            b = A @ x0
+        else:
+            b = rng.normal(size=m) * n
+        x = feasible_point(A, b, upper)
+        x_slack = feasible_point(*_slack_form(A, b, upper))
+        assert (x is None) == (x_slack is None)
+        if x is None:
+            outcomes["infeasible"] += 1
+            continue
+        outcomes["feasible"] += 1
+        assert np.all(x >= 0.0) and np.all(x <= upper)
+        assert np.abs(A @ x - b).max() <= FEAS_TOL * max(1.0, np.abs(b).max())
+    assert min(outcomes.values()) >= 30
+
+
+def test_bounded_variables_scalar_bound_and_validation():
+    A = np.array([[1.0, 1.0, 1.0]])
+    x = feasible_point(A, np.array([2.5]), 1.0)
+    assert x is not None and np.all((0.0 <= x) & (x <= 1.0))
+    assert abs(x.sum() - 2.5) <= FEAS_TOL
+    assert feasible_point(A, np.array([3.5]), 1.0) is None
+    with pytest.raises(ValueError):
+        feasible_point(A, np.array([1.0]), [1.0, -1.0, 1.0])
+
+
+def test_drift_repair_rebuilds_complemented_columns(monkeypatch):
+    # Knock every basic value off after the first pivot run, as round-off
+    # over many pivots would; the repair must rebuild the tableau with the
+    # complemented columns and still return a point inside the bounds.
+    rng = np.random.default_rng(8080)
+    pivot = lp._pivot
+    repaired_with_flips = 0
+    for _ in range(60):
+        m, n = int(rng.integers(1, 5)), int(rng.integers(2, 14))
+        A = rng.integers(-2, 3, size=(m, n)).astype(float)
+        upper = rng.integers(0, 3, size=n).astype(float)
+        b = A @ (rng.uniform(0.0, 1.0, size=n) * upper)
+        calls = []
+
+        def drifting(T, basis, bounds, flipped):
+            ok = pivot(T, basis, bounds, flipped)
+            if not calls:
+                T[:-1, -1] += 1e-3
+            calls.append(any(flipped))
+            return ok
+
+        monkeypatch.setattr(lp, "_pivot", drifting)
+        x = feasible_point(A, b, upper)
+        assert x is not None
+        assert np.all(x >= 0.0) and np.all(x <= upper)
+        assert np.abs(A @ x - b).max() <= FEAS_TOL * max(1.0, np.abs(b).max())
+        repaired_with_flips += len(calls) == 2 and calls[0]
+    assert repaired_with_flips >= 10

@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from baru import (
     Act,
@@ -349,6 +349,10 @@ def lotteries(draw):
 
 @given(lotteries(), st.floats(min_value=0.05, max_value=0.95))
 @settings(max_examples=120, deadline=None)
+# one outcome takes the whole space, leaving nothing for two tiny weights
+@example(Lottery({"a": 0.0, "b": 1.0, "c": 1.53e-30, "d": 1.53e-30}, SPACE), 0.5)
+# a single weighted outcome: no allocation LP at all
+@example(Lottery({"c": 1.0}, SPACE), 0.3)
 def test_realize_lottery_round_trip_property(lot, p):
     d1 = Density.from_state_probs((p, 1.0 - p))
     d2 = Density.uniform()
