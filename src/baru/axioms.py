@@ -19,6 +19,7 @@ import numpy as np
 from . import lp
 from .geometry import (
     ProfileGeometry,
+    _hull2d,
     direction_set,
     geometry_for,
     image_polytope,
@@ -113,7 +114,10 @@ class CoRedundancyCertificate:
 
     `method` is "exact" when `residual` bounds the support gap over every
     direction (one or two concerned agents), "sampled" when it is the
-    largest gap over `directions` probing directions only."""
+    largest gap over `directions` probing directions only.  `directions`
+    is 0 when the two images were shown equal without probing any
+    direction (two agents, identity coarsening, the outcome hull spanned
+    by the subset); `residual` is then 0.0, exact in exact arithmetic."""
 
     coarsening: Coarsening
     outcomes: tuple[str, ...]
@@ -176,7 +180,17 @@ def certify_coredundancy(
     support functions.  With one or two concerned agents the comparison
     is exact (every direction where a support function bends, with a
     certified bound between them); with more it is sampled over
-    `direction_set`."""
+    `direction_set`.
+
+    Two agents under the identity coarsening are first tried by a hull
+    test.  Both images then live on one grid: cell s adds D_s conv(U) to
+    the full image and D_s conv(U_O) to the restricted one, where D_s is
+    the diagonal of the agents' masses on s, U holds the utility points
+    of all outcomes and U_O those of the subset.  Support functions add
+    over Minkowski summands and each restricted term is at most its full
+    term, so when every vertex of conv(U) is a subset outcome's point the
+    images are equal.  Otherwise the kink directions decide, and give a
+    refusal its direction."""
     outs = tuple(outcomes)
     if not outs:
         raise ValueError("outcome subset must be non-empty")
@@ -192,6 +206,12 @@ def certify_coredundancy(
             push.append((i, pushforward_coarsening(q, profile.agents[i].belief)))
         except (ValueError, ZeroDivisionError) as exc:
             return Refused("improper-pushforward", f"agent {i}: {exc}")
+    if len(ids) == 2 and all(d is profile.agents[i].belief for i, d in push):
+        u, v = (profile.agents[i].utility for i in ids)
+        points = [(u.value(lab), v.value(lab)) for lab in profile.space.labels]
+        kept = {(u.value(lab), v.value(lab)) for lab in outs}
+        if all(p in kept for p in _hull2d(points, tol=0.0)):
+            return CoRedundancyCertificate(q, outs, tuple(push), 0.0, "exact", 0)
     full = geometry_for(profile)
     restricted = geometry_for(profile, q, outs, dict(push))
     if len(ids) == 2:

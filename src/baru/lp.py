@@ -7,11 +7,20 @@ batteries and criterion 7) and one bounded column per grid cell; the
 common-belief LP has 1 + n + pinned rows and unbounded columns.
 A plain dense tableau with Bland's rule is exact enough at that scale and
 keeps the answer deterministic, which the witness re-run guarantees rely on.
+
+The tableau is a list of rows of Python floats: at a few rows by a few
+dozen columns, one numpy call costs more than the arithmetic it does.
+Every entry goes through the float64 operations a numpy tableau would
+apply, in the same order, signed zeros included, so the point keeps its
+bits.  numpy only rebuilds a drifted tableau (`np.linalg.solve`) and
+holds the returned point.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from math import inf
+from operator import add, mul
 
 import numpy as np
 
@@ -25,7 +34,8 @@ _MAX_ITER = 20_000
 
 def feasible_point(A, b, upper=None) -> np.ndarray | None:
     """Return some x with A x = b and 0 <= x <= upper, or None when none
-    exists.  `upper` is None, one bound for all columns or one per column.
+    exists.  `A` and `b` are arrays or nested lists; `upper` is None, one
+    bound for all columns or one per column.
 
     Bounds need no slack rows (Dantzig's upper-bounding technique): a
     nonbasic variable at its bound is complemented, x_j = u_j - x'_j.
@@ -39,61 +49,65 @@ def feasible_point(A, b, upper=None) -> np.ndarray | None:
     m, n = A.shape
     bounds = [inf] * (n + m)
     if upper is not None:
-        bounds[:n] = np.broadcast_to(np.asarray(upper, dtype=float), (n,)).tolist()
-        if not all(u >= 0.0 for u in bounds):
-            raise ValueError("feasible_point: upper bounds must be nonnegative")
+        up = np.asarray(upper, dtype=float)
+        bounds[:n] = [float(up)] * n if up.ndim == 0 else up.tolist()
+        if up.ndim > 1 or len(bounds) != n + m or not all(u >= 0.0 for u in bounds):
+            raise ValueError("feasible_point: need one nonnegative upper bound per column")
     if m == 0:
         return np.zeros(n)
 
     # Flip rows so the right-hand side is nonnegative, then add one
     # artificial variable per row; minimising their sum is phase 1.
-    flip = b < 0.0
-    A = np.where(flip[:, None], -A, A)
-    b = np.where(flip, -b, b)
-
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
-    T[:m, -1] = b
+    rows, rhs = [], []
+    for row, v in zip(A.tolist(), b.tolist()):
+        if v < 0.0:
+            row, v = [-a for a in row], -v
+        rows.append(row)
+        rhs.append(v)
+    T = [row + [0.0] * m + [v] for row, v in zip(rows, rhs)]
+    for i in range(m):
+        T[i][n + i] = 1.0
     # Objective row: reduced costs for min(sum of artificials) after
-    # pricing the artificial basis out.
-    T[m, :n] = -A.sum(axis=0)
-    T[m, -1] = -b.sum()
+    # pricing the artificial basis out.  Each sum is a left fold, which
+    # is the order of numpy's float64 sums below eight terms (`sum` is
+    # not: it compensates from Python 3.12 on).
+    T.append([-reduce(add, col) for col in zip(*rows)] + [0.0] * m + [-reduce(add, rhs)])
 
     basis = list(range(n, n + m))
     flipped = [False] * (n + m)
     if not _pivot(T, basis, bounds, flipped):
         return None
-    tol = FEAS_TOL * max(1.0, float(np.max(np.abs(b))))
-    if -T[m, -1] > tol:
+    tol = FEAS_TOL * max(1.0, max(rhs))
+    if -T[m][-1] > tol:
         return None
     x = _point(T, basis, bounds, flipped, n)
-    if np.max(np.abs(A @ x - b)) > tol:
+    if max(abs(reduce(add, map(mul, row, x)) - v) for row, v in zip(rows, rhs)) > tol:
         # Round-off from many pivots can leave the tableau claiming a
         # feasible basis whose point misses A x = b.  Rebuild the tableau
         # from the original data as B^-1 [A | I | b], complemented columns
         # negated with their bounds moved into b, and pivot on.
+        A, b = np.array(rows), np.array(rhs)
         shifted = b - A @ np.where(flipped[:n], bounds[:n], 0.0)
         full = np.hstack([np.where(flipped[:n], -A, A), np.eye(m), shifted[:, None]])
-        T[:m] = np.linalg.solve(full[:, basis], full)
+        body = np.linalg.solve(full[:, basis], full)
         cost = np.concatenate([np.zeros(n), np.ones(m), [0.0]])
-        T[m] = cost - cost[basis] @ T[:m]
-        if not _pivot(T, basis, bounds, flipped) or -T[m, -1] > tol:
+        T = body.tolist() + [(cost - cost[basis] @ body).tolist()]
+        if not _pivot(T, basis, bounds, flipped) or -T[m][-1] > tol:
             return None
         x = _point(T, basis, bounds, flipped, n)
-    return x
+    return np.array(x)
 
 
-def _pivot(T: np.ndarray, basis: list[int], bounds: list[float], flipped: list[bool]) -> bool:
-    """Bland-rule phase-1 pivoting on the tableau in place; False when it
-    fails numerically or runs out of iterations.  The column and row scans
-    run over Python floats, which divide and compare exactly as numpy's
-    float64 scalars do.  With every bound inf it is the plain phase 1."""
+def _pivot(T: list[list[float]], basis: list[int], bounds: list[float], flipped: list[bool]) -> bool:
+    """Bland-rule phase-1 pivoting on the tableau rows in place; False
+    when it fails numerically or runs out of iterations.  With every bound
+    inf it is the plain phase 1."""
     m = len(basis)
     for _ in range(_MAX_ITER):
-        # Bland: the first movable column with a negative reduced cost enters.
-        for enter, cost in enumerate(T[m, :-1].tolist()):
-            if cost < -PIVOT_EPS and bounds[enter] > 0.0:
+        # Bland: the first movable column with a negative reduced cost
+        # enters.  zip stops before the right-hand side, which has no bound.
+        for enter, (cost, bound) in enumerate(zip(T[m], bounds)):
+            if cost < -PIVOT_EPS and bound > 0.0:
                 break
         else:
             return True
@@ -102,7 +116,8 @@ def _pivot(T: np.ndarray, basis: list[int], bounds: list[float], flipped: list[b
         # to its upper bound.
         leave = -1
         best = inf
-        for i, (a, rhs) in enumerate(zip(T[:m, enter].tolist(), T[:m, -1].tolist())):
+        for i in range(m):
+            a, rhs = T[i][enter], T[i][-1]
             if a > PIVOT_EPS:
                 ratio = rhs / a
             elif a < -PIVOT_EPS and bounds[basis[i]] < inf:
@@ -122,11 +137,13 @@ def _pivot(T: np.ndarray, basis: list[int], bounds: list[float], flipped: list[b
             _complement(T, enter, bounds[enter], flipped)
             continue
         out = basis[leave]
-        T[leave] /= T[leave, enter]
-        col = T[:, enter].copy()
-        col[leave] = 0.0
-        T -= col[:, None] * T[leave]
-        T[leave, enter] = 1.0
+        # numpy's T[leave] /= pivot, then T -= col * T[leave] with the
+        # pivot row's own factor zero (which turns its -0.0 into 0.0).
+        piv = T[leave][enter]
+        T[leave] = prow = [v / piv for v in T[leave]]
+        for i, row in enumerate(T):
+            factor = 0.0 if i == leave else row[enter]
+            T[i] = [v - factor * p for v, p in zip(row, prow)]
         basis[leave] = enter
         if rising:
             # The leaving variable stops at its upper bound.
@@ -134,17 +151,18 @@ def _pivot(T: np.ndarray, basis: list[int], bounds: list[float], flipped: list[b
     return False
 
 
-def _complement(T: np.ndarray, j: int, bound: float, flipped: list[bool]) -> None:
+def _complement(T: list[list[float]], j: int, bound: float, flipped: list[bool]) -> None:
     """Substitute x_j = bound - x'_j for nonbasic column j."""
-    T[:, -1] -= bound * T[:, j]
-    T[:, j] *= -1.0
+    for row in T:
+        row[-1] -= bound * row[j]
+        row[j] = -row[j]
     flipped[j] = not flipped[j]
 
 
-def _point(T: np.ndarray, basis: list[int], bounds: list, flipped: list, n: int) -> np.ndarray:
-    x = np.array([u if f else 0.0 for u, f in zip(bounds[:n], flipped)])
-    for i, j in enumerate(basis):
+def _point(T: list[list[float]], basis: list[int], bounds: list, flipped: list, n: int) -> list[float]:
+    x = [u if f else 0.0 for u, f in zip(bounds[:n], flipped)]
+    for row, j in zip(T, basis):
         if j < n:
-            v = min(max(T[i, -1], 0.0), bounds[j])
+            v = min(max(row[-1], 0.0), bounds[j])
             x[j] = bounds[j] - v if flipped[j] else v
     return x

@@ -34,9 +34,16 @@ from baru import (
     swf5,
     swf6,
 )
-from baru.axioms import CoRedundancyCertificate, Refused, ScenarioRejected, certify_coredundancy
+from baru.axioms import (
+    CoRedundancyCertificate,
+    Refused,
+    ScenarioRejected,
+    _exact_support_gap,
+    certify_coredundancy,
+)
 from baru.geometry import geometry_for, support_values
 from baru.harness import ira_scenario, random_profile, reversal
+from baru.measure import TOL_MEASURE
 
 SPACE = OutcomeSpace(("a", "b", "c", "d"))
 
@@ -259,7 +266,7 @@ def test_certify_refuses_thin_gap(thin_gap):
 def test_certify_reports_method_and_directions(table1, rng):
     profile, _, _ = table1
     cert = certify_coredundancy(profile, Coarsening.identity(), profile.space.labels)
-    assert (cert.method, cert.directions > 0) == ("exact", True)
+    assert (cert.method, cert.directions) == ("exact", 0)
     refused = certify_coredundancy(profile, Coarsening.identity(), ("a",))
     assert refused.method == "exact" and refused.directions > 0
     three = random_profile(rng, space=SPACE, n_agents=3, n_concerned=3)
@@ -295,6 +302,119 @@ def test_certify_exact_residual_bounds_dense_gap():
             else:
                 certified += 1
     assert refused and certified
+
+
+def _kink_path_certifies(profile, outcomes) -> bool:
+    """The kink-direction decision for two agents under the identity
+    coarsening, without the hull test in front of it."""
+    full = geometry_for(profile)
+    _, _, residual = _exact_support_gap(full, geometry_for(profile, None, outcomes))
+    return residual <= TOL_MEASURE
+
+
+def _two_agent_case(rng: random.Random) -> tuple[Profile, tuple[str, ...]]:
+    """Two concerned agents with beliefs on one random grid (some cells
+    empty for one agent), utilities that often repeat a point or put one
+    on a hull edge, and a random outcome subset."""
+    labels = tuple("abcdefg"[: rng.randint(4, 7)])
+    cuts = sorted({round(rng.random(), 3) for _ in range(rng.randint(0, 3))} - {0.0, 1.0})
+    bps = (0.0, *cuts, 1.0)
+    agents = []
+    for _ in range(2):
+        masses = [rng.random() * (rng.random() > 0.25) for _ in range(len(bps) - 1)]
+        if not any(masses):
+            masses[rng.randrange(len(masses))] = 1.0
+        total = sum(masses)
+        grid = rng.choice((None, (0.0, 0.5, 1.0), (0.0, 0.25, 0.5, 0.75, 1.0)))
+        raw = [rng.choice(grid) if grid else rng.random() for _ in labels]
+        raw[0], raw[-1] = 0.0, 1.0  # normalised: minimum 0, maximum 1
+        rng.shuffle(raw)
+        agents.append(
+            Preference(
+                Density.from_masses(bps, [v / total for v in masses]),
+                Utility(dict(zip(labels, raw))),
+            )
+        )
+    profile = Profile(OutcomeSpace(labels), (agents[0], INDIFFERENT, agents[1]))
+    subset = tuple(lab for lab in labels if rng.random() < 0.7) or labels[:1]
+    return profile, subset
+
+
+def test_certify_hull_decision_matches_kink_path():
+    rng = random.Random(60601)
+    q = Coarsening.identity()
+    tally = {"hull": 0, "kink-certified": 0, "refused": 0}
+    for _ in range(2000):
+        profile, subset = _two_agent_case(rng)
+        out = certify_coredundancy(profile, q, subset)
+        assert isinstance(out, CoRedundancyCertificate) == _kink_path_certifies(profile, subset)
+        if isinstance(out, Refused):
+            tally["refused"] += 1
+            assert out.directions > 0
+        elif out.directions == 0:
+            tally["hull"] += 1
+            assert out.residual == 0.0
+        else:
+            tally["kink-certified"] += 1
+    assert min(tally.values()) >= 10, tally
+
+
+def _uv_profile(u1: dict, u2: dict, d1=None, d2=None) -> Profile:
+    space = OutcomeSpace(tuple(u1))
+    d1 = d1 or Density.from_state_probs((0.7, 0.3))
+    d2 = d2 or Density.from_state_probs((0.4, 0.6))
+    return Profile(
+        space, (Preference(d1, Utility(u1)), Preference(d2, Utility(u2)), INDIFFERENT)
+    )
+
+
+def test_certify_hull_collinear_outcome_on_edge():
+    # d = (0.5, 0) sits on the hull edge from a = (0, 0) to b = (1, 0)
+    prof = _uv_profile(
+        {"a": 0.0, "b": 1.0, "c": 0.0, "d": 0.5}, {"a": 0.0, "b": 0.0, "c": 1.0, "d": 0.0}
+    )
+    cert = certify_coredundancy(prof, Coarsening.identity(), ("a", "b", "c"))
+    assert isinstance(cert, CoRedundancyCertificate)
+    assert (cert.method, cert.directions, cert.residual) == ("exact", 0, 0.0)
+
+
+def test_certify_hull_duplicate_point_outside_subset():
+    # d has b's utility point, so dropping d drops no hull vertex
+    prof = _uv_profile(
+        {"a": 0.0, "b": 1.0, "c": 0.2, "d": 1.0}, {"a": 0.0, "b": 0.3, "c": 1.0, "d": 0.3}
+    )
+    cert = certify_coredundancy(prof, Coarsening.identity(), ("a", "b", "c"))
+    assert isinstance(cert, CoRedundancyCertificate)
+    assert (cert.method, cert.directions, cert.residual) == ("exact", 0, 0.0)
+    swapped = certify_coredundancy(prof, Coarsening.identity(), ("a", "c", "d"))
+    assert isinstance(swapped, CoRedundancyCertificate) and swapped.directions == 0
+    assert isinstance(certify_coredundancy(prof, Coarsening.identity(), ("a", "c")), Refused)
+
+
+def test_certify_hull_test_needs_identity_coarsening(table1):
+    # folding the halves onto [0, 1) gives both agents the uniform belief,
+    # so the coarsened acts lose the disagreement that spans table1's
+    # image even though every outcome is kept
+    profile, _, _ = table1
+    fold = Coarsening(((0.0, 0.5, 0.0, 1.0, 1), (0.5, 1.0, 0.0, 1.0, 1)))
+    out = certify_coredundancy(profile, fold, profile.space.labels)
+    assert isinstance(out, Refused) and out.directions > 0
+
+
+def test_certify_mutually_singular_beliefs():
+    # each cell carries one agent's mass only
+    left, right = Density.from_state_probs((1.0, 0.0)), Density.from_state_probs((0.0, 1.0))
+    u1 = {"a": 0.0, "b": 1.0, "c": 0.4, "d": 1.0}
+    u2 = {"a": 0.0, "b": 0.2, "c": 1.0, "d": 1.0}
+    prof = _uv_profile(u1, u2, left, right)
+    cert = certify_coredundancy(prof, Coarsening.identity(), ("a", "b", "c", "d"))
+    assert (cert.method, cert.directions, cert.residual) == ("exact", 0, 0.0)
+    # d = (1, 1) is a hull vertex outside the subset, but each cell sees a
+    # single agent, whose range [0, 1] the subset already spans: the kink
+    # path certifies what the hull test cannot
+    cert = certify_coredundancy(prof, Coarsening.identity(), ("a", "b", "c"))
+    assert isinstance(cert, CoRedundancyCertificate)
+    assert cert.method == "exact" and cert.directions > 0
 
 
 # -- restricted Pareto ---------------------------------------------------------

@@ -86,10 +86,18 @@ def test_degenerate_duplicate_rows_fine():
     assert np.abs(A @ x - b).max() <= FEAS_TOL
 
 
-def _pivot_reference(T, basis, bounds, flipped):
+def _pivot_reference(rows, basis, bounds, flipped):
     """Bland-rule phase 1 one scalar at a time: the first column with a
     negative reduced cost enters; the ratio test walks the rows in order.
-    It knows no upper bounds."""
+    It knows no upper bounds.  The tableau rows are pivoted as one numpy
+    array and written back."""
+    T = np.array(rows)
+    ok = _pivot_reference_array(T, basis, bounds, flipped)
+    rows[:] = T.tolist()
+    return ok
+
+
+def _pivot_reference_array(T, basis, bounds, flipped):
     assert all(u == np.inf for u in bounds) and not any(flipped)
     m = len(basis)
     for _ in range(lp._MAX_ITER):
@@ -240,7 +248,8 @@ def test_drift_repair_rebuilds_complemented_columns(monkeypatch):
         def drifting(T, basis, bounds, flipped):
             ok = pivot(T, basis, bounds, flipped)
             if not calls:
-                T[:-1, -1] += 1e-3
+                for row in T[:-1]:
+                    row[-1] += 1e-3
             calls.append(any(flipped))
             return ok
 
@@ -251,3 +260,159 @@ def test_drift_repair_rebuilds_complemented_columns(monkeypatch):
         assert np.abs(A @ x - b).max() <= FEAS_TOL * max(1.0, np.abs(b).max())
         repaired_with_flips += len(calls) == 2 and calls[0]
     assert repaired_with_flips >= 10
+
+
+def _feasible_point_numpy(A, b, upper=None, drift=0.0):
+    """The numpy-tableau version of `feasible_point`, kept as a reference
+    for the bits of its points.  `drift` is added to every basic value
+    after the first pivot run, as `test_drift_repair_rebuilds_complemented_columns`
+    does to the list tableau."""
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = A.shape
+    bounds = [np.inf] * (n + m)
+    if upper is not None:
+        bounds[:n] = np.broadcast_to(np.asarray(upper, dtype=float), (n,)).tolist()
+    if m == 0:
+        return np.zeros(n)
+    flip = b < 0.0
+    A = np.where(flip[:, None], -A, A)
+    b = np.where(flip, -b, b)
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A
+    T[:m, n : n + m] = np.eye(m)
+    T[:m, -1] = b
+    T[m, :n] = -A.sum(axis=0)
+    T[m, -1] = -b.sum()
+    basis = list(range(n, n + m))
+    flipped = [False] * (n + m)
+    if not _pivot_numpy(T, basis, bounds, flipped):
+        return None
+    if drift:
+        T[:-1, -1] += drift
+    tol = FEAS_TOL * max(1.0, float(np.max(np.abs(b))))
+    if -T[m, -1] > tol:
+        return None
+    x = _point_numpy(T, basis, bounds, flipped, n)
+    if np.max(np.abs(A @ x - b)) > tol:
+        shifted = b - A @ np.where(flipped[:n], bounds[:n], 0.0)
+        full = np.hstack([np.where(flipped[:n], -A, A), np.eye(m), shifted[:, None]])
+        T[:m] = np.linalg.solve(full[:, basis], full)
+        cost = np.concatenate([np.zeros(n), np.ones(m), [0.0]])
+        T[m] = cost - cost[basis] @ T[:m]
+        if not _pivot_numpy(T, basis, bounds, flipped) or -T[m, -1] > tol:
+            return None
+        x = _point_numpy(T, basis, bounds, flipped, n)
+    return x
+
+
+def _pivot_numpy(T, basis, bounds, flipped):
+    m = len(basis)
+    for _ in range(lp._MAX_ITER):
+        for enter, cost in enumerate(T[m, :-1].tolist()):
+            if cost < -PIVOT_EPS and bounds[enter] > 0.0:
+                break
+        else:
+            return True
+        leave = -1
+        best = np.inf
+        for i, (a, rhs) in enumerate(zip(T[:m, enter].tolist(), T[:m, -1].tolist())):
+            if a > PIVOT_EPS:
+                ratio = rhs / a
+            elif a < -PIVOT_EPS and bounds[basis[i]] < np.inf:
+                ratio = (bounds[basis[i]] - rhs) / -a
+            else:
+                continue
+            if ratio < best - PIVOT_EPS or (
+                ratio < best + PIVOT_EPS and (leave < 0 or basis[i] < basis[leave])
+            ):
+                best = ratio
+                leave = i
+                rising = a < 0.0
+        if best == np.inf == bounds[enter]:
+            return False
+        if bounds[enter] <= best:
+            _complement_numpy(T, enter, bounds[enter], flipped)
+            continue
+        out = basis[leave]
+        T[leave] /= T[leave, enter]
+        col = T[:, enter].copy()
+        col[leave] = 0.0
+        T -= col[:, None] * T[leave]
+        T[leave, enter] = 1.0
+        basis[leave] = enter
+        if rising:
+            _complement_numpy(T, out, bounds[out], flipped)
+    return False
+
+
+def _complement_numpy(T, j, bound, flipped):
+    T[:, -1] -= bound * T[:, j]
+    T[:, j] *= -1.0
+    flipped[j] = not flipped[j]
+
+
+def _point_numpy(T, basis, bounds, flipped, n):
+    x = np.array([u if f else 0.0 for u, f in zip(bounds[:n], flipped)])
+    for i, j in enumerate(basis):
+        if j < n:
+            v = min(max(T[i, -1], 0.0), bounds[j])
+            x[j] = bounds[j] - v if flipped[j] else v
+    return x
+
+
+def test_list_tableau_matches_numpy_tableau_bits(monkeypatch):
+    # Same points to the bit, or None on the same inputs, on bounded and
+    # unbounded LPs up to 6 x 80: integer data with ties, degenerate
+    # pivots and -0.0 right-hand sides, infeasible right-hand sides, and
+    # drift repairs forced far above and just above the residual bound.
+    rng = np.random.default_rng(31337)
+    pivot = lp._pivot
+    tally = {"feasible": 0, "infeasible": 0, "repaired": 0}
+    for trial in range(600):
+        m, n = int(rng.integers(1, 7)), int(rng.integers(1, 81))
+        if trial % 3 == 0:
+            A = rng.integers(-2, 3, size=(m, n)).astype(float)
+            upper = rng.integers(0, 3, size=n).astype(float)
+            x0 = np.minimum(rng.integers(0, 3, size=n), upper)
+        else:
+            A = rng.normal(size=(m, n))
+            upper = rng.uniform(0.0, 2.0, size=n)
+            x0 = rng.uniform(0.0, 1.0, size=n) * upper
+        if trial % 4 == 1:
+            upper = None
+        x0[rng.random(n) < 0.7] = 0.0
+        b = A @ x0 if trial % 2 == 0 else rng.normal(size=m) * n
+        b[b == 0.0] = -0.0
+        drift = (0.0, 1e-3, 5.0 * FEAS_TOL * max(1.0, np.abs(b).max()))[int(rng.integers(3))]
+        calls = []
+
+        def drifting(T, basis, bounds, flipped):
+            ok = pivot(T, basis, bounds, flipped)
+            if drift and not calls:
+                for row in T[:-1]:
+                    row[-1] += drift
+            calls.append(ok)
+            return ok
+
+        monkeypatch.setattr(lp, "_pivot", drifting)
+        args = (A, b) if upper is None else (A, b, upper)
+        x = feasible_point(*args)
+        x_ref = _feasible_point_numpy(A, b, upper, drift)
+        if x_ref is None:
+            assert x is None
+            tally["infeasible"] += 1
+        else:
+            assert x is not None and x.tobytes() == x_ref.tobytes()
+            tally["feasible"] += 1
+        tally["repaired"] += len(calls) == 2
+    assert min(tally.values()) >= 30, tally
+
+
+def test_list_tableau_accepts_nested_lists():
+    A = [[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]]
+    b, upper = [0.4, 0.4], [1.0, 0.5, 1.0]
+    x = feasible_point(A, b, upper)
+    assert x is not None and x.dtype == float
+    assert x.tobytes() == feasible_point(np.array(A), np.array(b), np.array(upper)).tobytes()
+    assert x.tobytes() == _feasible_point_numpy(A, b, upper).tobytes()
