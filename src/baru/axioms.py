@@ -255,8 +255,11 @@ def check_faithfulness(swf: Swf, space: OutcomeSpace, n_agents: int = 3) -> Axio
 
 
 def check_anonymity(swf: Swf, profile: Profile) -> AxiomVerdict:
-    """Output must be unchanged under agent transpositions (which generate
-    the full permutation group)."""
+    """Society's preference at this profile must be unchanged by every
+    transposition of two agents.  Only the transpositions are applied, each
+    to this one profile; that does not show invariance under every
+    permutation of it, since invariance under generators at one profile
+    does not compose into invariance under their products."""
     base = swf(profile).preference
     n = len(profile.agents)
     trials = 0

@@ -204,25 +204,37 @@ def _hull2d(
 
 def minkowski_polygon(geom: ProfileGeometry) -> tuple[tuple[float, float], ...]:
     """Exact vertex list (CCW) of the two-agent image polytope, formed by
-    chaining the sorted edges of the per-segment hulls."""
+    chaining the sorted edges of the per-segment hulls.
+
+    As in `kink_directions`, segment s's points are the utility points
+    scaled by diag(masses[:, s]), the same products as tensor[s], and a
+    positive scaling maps the hull of the utility points onto the
+    segment's hull.  So the utility points are hulled once and that hull
+    is scaled per segment.  A segment where an agent has zero mass
+    collapses onto an axis, where its hull is the segment between the
+    scaled lowest and highest utility points, or a single point."""
     if geom.dimension != 2:
         raise ValueError("exact polygon only at dimension 2")
-    S = geom.tensor.shape[0]
-    start = np.zeros(2)
+    u1, u2 = geom.utils.tolist()
+    uhull = _hull2d(list(zip(u1, u2)))
+    ends = ((min(u1), min(u2)), (max(u1), max(u2)))
+    sx = sy = 0.0
     edges: list[tuple[float, float]] = []
-    for s in range(S):
-        hull = _hull2d([(p[0], p[1]) for p in geom.tensor[s]])
-        anchor = min(hull, key=lambda p: (p[1], p[0]))
-        start += anchor
-        k = len(hull)
-        for t in range(k):
-            p, q = hull[t], hull[(t + 1) % k]
-            if k >= 2:
-                edges.append((q[0] - p[0], q[1] - p[1]))
+    for m1, m2 in zip(*geom.masses.tolist()):
+        if m1 > 0.0 and m2 > 0.0:
+            cell = [(m1 * a, m2 * b) for a, b in uhull]
+        else:
+            cell = _hull2d([(m1 * a, m2 * b) for a, b in ends])
+        ax, ay = min(cell, key=lambda p: (p[1], p[0]))
+        sx += ax
+        sy += ay
+        if len(cell) >= 2:
+            for (px, py), (qx, qy) in zip(cell, cell[1:] + cell[:1]):
+                edges.append((qx - px, qy - py))
     if not edges:
-        return ((float(start[0]), float(start[1])),)
+        return ((sx, sy),)
     edges.sort(key=lambda e: atan2(e[1], e[0]) % (2.0 * pi))
-    walk = [(float(start[0]), float(start[1]))]
+    walk = [(sx, sy)]
     for ex, ey in edges[:-1]:
         walk.append((walk[-1][0] + ex, walk[-1][1] + ey))
     # Parallel edges from different segments land as collinear runs; a hull

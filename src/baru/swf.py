@@ -9,8 +9,9 @@ and the checkers in `axioms` are expected to catch exactly that trade.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
-from operator import mul
+from functools import reduce
+from math import fsum, inf, sqrt
+from operator import add, mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -231,6 +232,83 @@ def _nash_point(profile: Profile) -> np.ndarray:
 _NASH_ROUNDS = 100
 # Newton steps per round on the hull of the kept vertices.
 _NEWTON_STEPS = 60
+# A pivot column of the QR is taken as collapsed once its remaining norm is
+# at most this times the first pivot's, the largest column norm.  On
+# criterion 5's solves and on twin profiles, D's smallest singular value
+# over its largest is at most 2.5e-16 when D is rank-deficient and at least
+# 1.1e-10 when it is not.
+_RANK_TOL = 1e-13
+
+
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    return reduce(add, map(mul, a, b), 0.0)
+
+
+def _newton_step(cols: list[list[float]], n: int) -> tuple[list[float], float]:
+    """The least-squares, least-norm solution s of D.T @ s = 1, given the
+    columns of D.T, and the Newton decrement |D.T @ s|.
+
+    Modified Gram-Schmidt with column pivoting (Björck, Numerical Methods
+    for Least Squares Problems, 1996) factors D.T[:, piv] = Q @ R and
+    carries the ones vector along, giving c = Q.T @ 1 and |D.T @ s| = |c|.
+    Columns whose remaining norm collapses, which twin agents cause, are
+    left out of Q.  When every column is a pivot, R is triangular and s
+    follows by back substitution; otherwise a second Gram-Schmidt,
+    R.T = W @ T, gives the least-norm s = W @ z with T.T @ z = c."""
+    m = len(cols)
+    work = list(cols)  # columns are replaced, never changed in place
+    ones = [1.0] * n
+    rows: list[list[float]] = []  # R, each row indexed by original column
+    piv: list[int] = []
+    c: list[float] = []
+    free = list(range(m))
+    tol = 0.0
+    while free and len(piv) < n:
+        norms = [_dot(work[j], work[j]) for j in free]
+        k = norms.index(max(norms))
+        norm = sqrt(norms[k])
+        if not piv:
+            tol = _RANK_TOL * norm
+        if norm <= tol:
+            break
+        p = free.pop(k)
+        q = [v / norm for v in work[p]]
+        row = [0.0] * m
+        row[p] = norm
+        for j in free:
+            r = _dot(q, work[j])
+            row[j] = r
+            work[j] = [v - r * qi for v, qi in zip(work[j], q)]
+        cb = _dot(q, ones)
+        ones = [v - cb * qi for v, qi in zip(ones, q)]
+        rows.append(row)
+        piv.append(p)
+        c.append(cb)
+    decrement = sqrt(_dot(c, c))
+    step = [0.0] * m
+    if not free:
+        for k in reversed(range(len(piv))):
+            row = rows[k]
+            acc = c[k]
+            for p in piv[k + 1 :]:
+                acc -= row[p] * step[p]
+            step[piv[k]] = acc / row[piv[k]]
+        return step, decrement
+    W: list[list[float]] = []
+    z: list[float] = []
+    for k, row in enumerate(rows):
+        v = row
+        acc = c[k]
+        for w, zl in zip(W, z):
+            t = _dot(w, v)
+            v = [a - t * b for a, b in zip(v, w)]
+            acc -= t * zl
+        t = sqrt(_dot(v, v))
+        W.append([a / t for a in v])
+        z.append(acc / t)
+    if W:
+        step = [_dot(z, col) for col in zip(*W)]
+    return step, decrement
 
 
 # The benchmark (perfbench/) traces this solver by name as `swf.nash`, so
@@ -246,44 +324,57 @@ def _nash_frank_wolfe(tensor: np.ndarray) -> np.ndarray:
     The Frank-Wolfe gap bounds the log-product suboptimality; the point is
     returned only once the gap is at most 1e-12 * n, and
     `DegenerateNashPoint` is raised when the rounds run out first.
+
+    The Newton loop runs on Python floats: at most a handful of vertices
+    in a few dimensions, where numpy's per-call cost outweighs the
+    arithmetic.  Every float sum is a left fold, never the builtin `sum`,
+    which compensates from Python 3.12 on and would make the point depend
+    on the interpreter.
     """
     S, X, n = tensor.shape
     seg = np.arange(S)
     # The constant acts: every utility peaks at 1, so their barycentre is
     # strictly positive.
-    P = tensor.sum(axis=0)
-    lam = np.full(X, 1.0 / X)
+    verts = tensor.sum(axis=0).tolist()
+    lam = [1.0 / X] * X
     for _ in range(_NASH_ROUNDS):
         for _ in range(_NEWTON_STEPS):
-            # With P[0] taking the remaining weight, the Newton step on the
-            # other weights is the least-squares fit D.T @ step ~ 1 for
-            # D = (P[1:] - P[0]) / x.  Fitting D rather than solving with
-            # the Hessian D @ D.T keeps thin faces resolvable, and lstsq
-            # takes the rank deficiency that twin agents cause.
-            D = (P[1:] - P[0]) / (P.T @ lam)
-            step = np.linalg.lstsq(D.T, np.ones(n), rcond=None)[0]
-            d = np.concatenate(([-step.sum()], step))
-            decrement = float(np.linalg.norm(step @ D))
+            # With verts[0] taking the remaining weight, the Newton step on
+            # the other weights is the least-squares fit D.T @ step ~ 1 for
+            # D = (verts[1:] - verts[0]) / x.  Fitting D rather than solving
+            # with the Hessian D @ D.T keeps thin faces resolvable.
+            x = [reduce(add, map(mul, lam, col)) for col in zip(*verts)]
+            v0 = verts[0]
+            cols = [[(a - b) / xi for a, b, xi in zip(v, v0, x)] for v in verts[1:]]
+            step, decrement = _newton_step(cols, n)
             if decrement <= 1e-15:
                 break
-            neg = d < 0.0
-            ratios = -lam[neg] / d[neg]
-            tmax = float(ratios.min()) if neg.any() else np.inf
+            d = [-reduce(add, step), *step]
+            tmax, block = inf, -1
+            for j, (lj, dj) in enumerate(zip(lam, d)):
+                if dj < 0.0:
+                    ratio = -lj / dj
+                    if ratio < tmax:
+                        tmax, block = ratio, j
             damped = 1.0 / (1.0 + decrement)
-            lam = lam + min(tmax, damped) * d
+            t = min(tmax, damped)
+            lam = [lj + t * dj for lj, dj in zip(lam, d)]
             if tmax <= damped:
                 # the blocking vertex leaves the set at once
-                lam[np.flatnonzero(neg)[ratios.argmin()]] = 0.0
-            keep = lam > 0.0
-            P, lam = P[keep], lam[keep] / lam[keep].sum()
-        cur = P.T @ lam
+                lam[block] = 0.0
+            verts = [v for v, lj in zip(verts, lam) if lj > 0.0]
+            lam = [lj for lj in lam if lj > 0.0]
+            total = reduce(add, lam)
+            lam = [lj / total for lj in lam]
+        cur = np.array([reduce(add, map(mul, lam, col)) for col in zip(*verts)])
         grad = 1.0 / cur
         vertex = tensor[seg, (tensor @ grad).argmax(axis=1), :].sum(axis=0)
         gap = float(grad @ (vertex - cur))
         if gap <= 1e-12 * n:
             return cur
-        P = np.vstack([P, vertex])
-        lam = np.append(lam * (1.0 - 1e-3), 1e-3)
+        verts.append(vertex.tolist())
+        lam = [lj * (1.0 - 1e-3) for lj in lam]
+        lam.append(1e-3)
     raise DegenerateNashPoint(
         f"Frank-Wolfe gap {gap!r} still above {1e-12 * n!r} after {_NASH_ROUNDS} rounds"
     )
@@ -296,7 +387,8 @@ def swf1(profile: Profile) -> SwfResult:
     if not concerned:
         return SwfResult(INDIFFERENT, None, None, (), (), ())
     point = _nash_point(profile)
-    product = float(np.prod(point))
+    # sorted, so that relabelling the agents cannot reorder the product
+    product = reduce(mul, sorted(point.tolist()))
     if product <= TOL_MEASURE:
         raise DegenerateNashPoint(f"nash product {product!r} is not positive")
     contribs = []

@@ -3,6 +3,7 @@ polygon versus a brute-force grid oracle, and restrictions."""
 
 import itertools
 import math
+from math import atan2, pi
 import random
 
 import numpy as np
@@ -21,6 +22,7 @@ from baru import (
     image_polytope,
 )
 from baru.geometry import (
+    ProfileGeometry,
     _hull2d,
     attained_points,
     attaining_act,
@@ -122,6 +124,73 @@ def test_minkowski_polygon_equals_grid_hull_random_profiles(rng):
         assert len(poly) == len(oracle)
         for p, q in zip(sorted(poly), sorted(oracle)):
             assert p == pytest.approx(q, abs=1e-9)
+
+
+def _minkowski_polygon_reference(geom):
+    """The polygon with every segment's points hulled on their own."""
+    start = np.zeros(2)
+    edges = []
+    for s in range(geom.tensor.shape[0]):
+        hull = _hull2d([(p[0], p[1]) for p in geom.tensor[s]])
+        start += min(hull, key=lambda p: (p[1], p[0]))
+        k = len(hull)
+        for t in range(k):
+            p, q = hull[t], hull[(t + 1) % k]
+            if k >= 2:
+                edges.append((q[0] - p[0], q[1] - p[1]))
+    if not edges:
+        return ((float(start[0]), float(start[1])),)
+    edges.sort(key=lambda e: atan2(e[1], e[0]) % (2.0 * pi))
+    walk = [(float(start[0]), float(start[1]))]
+    for ex, ey in edges[:-1]:
+        walk.append((walk[-1][0] + ex, walk[-1][1] + ey))
+    hull = _hull2d(walk)
+    return tuple(hull) if hull else (walk[0],)
+
+
+def _two_agent_geometry(masses, utils):
+    masses, utils = np.array(masses), np.array(utils)
+    tensor = masses.T[:, None, :] * utils.T[None, :, :]
+    S, X = masses.shape[1], utils.shape[1]
+    labels = tuple(f"o{x}" for x in range(X))
+    return ProfileGeometry((0, 1), labels, tuple(np.linspace(0.0, 1.0, S + 1)), masses, utils, tensor)
+
+
+def test_minkowski_polygon_matches_per_segment_hulls():
+    rng = random.Random(20240808)
+    seen = dict.fromkeys(("positive", "one-zero", "both-zero", "duplicate", "lattice"), 0)
+    for trial in range(2400):
+        S, X = rng.randint(1, 7), rng.randint(2, 7)
+        kind = ("random", "duplicate", "lattice", "thirds")[trial % 4]
+        if kind == "lattice":
+            utils = [[rng.randint(0, 4) / 4 for _ in range(X)] for _ in range(2)]
+        elif kind == "thirds":
+            # collinear in exact arithmetic, off by rounding in floats
+            ramp = [x / (X - 1) for x in range(X)]
+            utils = [ramp, ramp[::-1] if rng.random() < 0.5 else [rng.random() for _ in range(X)]]
+        else:
+            utils = [[rng.random() for _ in range(X)] for _ in range(2)]
+        if kind == "duplicate":
+            for _ in range(rng.randint(1, X)):
+                i, j = rng.randrange(X), rng.randrange(X)
+                utils[0][i], utils[1][i] = utils[0][j], utils[1][j]
+        masses = [[rng.random() for _ in range(S)] for _ in range(2)]
+        if trial % 3 == 0:
+            for s in range(S):
+                r = rng.random()
+                if r < 0.5:
+                    masses[rng.randrange(2)][s] = 0.0
+                elif r < 0.7:
+                    masses[0][s] = masses[1][s] = 0.0
+        geom = _two_agent_geometry(masses, utils)
+        assert minkowski_polygon(geom) == _minkowski_polygon_reference(geom)
+        zeros = [(m1 == 0.0) + (m2 == 0.0) for m1, m2 in zip(*masses)]
+        seen["positive"] += zeros.count(0) == S
+        seen["one-zero"] += 1 in zeros
+        seen["both-zero"] += 2 in zeros
+        seen["duplicate"] += len(set(zip(*utils))) < X
+        seen["lattice"] += kind == "lattice"
+    assert min(seen.values()) >= 200, seen
 
 
 def test_image_polytope_keeps_thin_cone_vertex(thin_gap):

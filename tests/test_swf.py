@@ -2,6 +2,8 @@
 utilities, the six flawed contrasts, the Nash solver, pooling, and the
 registry."""
 
+import builtins
+import itertools
 import math
 import random
 
@@ -36,7 +38,13 @@ from baru import (
 from baru import swf as swf_module
 from baru.axioms import continuity_probe
 from baru.geometry import direction_set, geometry_for, support_values
-from baru.swf import PHANTOM_ID, _max_product_polygon, _nash_point, ramp_utility
+from baru.swf import (
+    PHANTOM_ID,
+    _canonical_order,
+    _max_product_polygon,
+    _nash_point,
+    ramp_utility,
+)
 from baru.harness import AXIOM_SPECS, child_seed, random_profile
 
 SPACE = OutcomeSpace(("a", "b", "c", "d"))
@@ -216,11 +224,9 @@ def test_nash_point_simplex_oracle():
     _assert_nash_certified(profile, point)
 
 
-@pytest.mark.parametrize("trial", [56, 65, 75])
-def test_nash_point_certified_on_criterion5_continuity_scenarios(monkeypatch, trial):
-    # The slowest solves of swf1's criterion-5 continuity stream: the
-    # probe's smallest step leaves each nearly degenerate, and trial 56
-    # holds twin agents, whose Hessian is singular.
+def _continuity_solves(monkeypatch, trial):
+    """The five (profile, point) solves of swf1 in criterion 5's
+    continuity trial."""
     seed = child_seed(child_seed(20240801, "swf1:continuity", 0), "continuity", trial)
     scenario = AXIOM_SPECS["continuity"].draw(random.Random(seed), trial, swf1)
     solved = []
@@ -230,8 +236,18 @@ def test_nash_point_certified_on_criterion5_continuity_scenarios(monkeypatch, tr
         solved.append((profile, x))
         return x
 
-    monkeypatch.setattr(swf_module, "_nash_point", recording)
-    continuity_probe(swf1, scenario["profile"], scenario["agent"])
+    with monkeypatch.context() as m:
+        m.setattr(swf_module, "_nash_point", recording)
+        continuity_probe(swf1, scenario["profile"], scenario["agent"])
+    return solved
+
+
+@pytest.mark.parametrize("trial", [56, 65, 75])
+def test_nash_point_certified_on_criterion5_continuity_scenarios(monkeypatch, trial):
+    # The slowest solves of swf1's criterion-5 continuity stream: the
+    # probe's smallest step leaves each nearly degenerate, and trial 56
+    # holds twin agents, whose Hessian is singular.
+    solved = _continuity_solves(monkeypatch, trial)
     assert len(solved) == 5
     for profile, x in solved:
         _assert_nash_certified(profile, x)
@@ -264,6 +280,116 @@ def test_nash_solver_raises_when_rounds_run_out(monkeypatch):
         _nash_point(profile)
 
 
+def _nash_frank_wolfe_reference(tensor):
+    """The solver with its Newton loop on numpy arrays, each step a
+    `np.linalg.lstsq` fit; the reference for the Python-float loop."""
+    S, X, n = tensor.shape
+    seg = np.arange(S)
+    P = tensor.sum(axis=0)
+    lam = np.full(X, 1.0 / X)
+    for _ in range(swf_module._NASH_ROUNDS):
+        for _ in range(swf_module._NEWTON_STEPS):
+            D = (P[1:] - P[0]) / (P.T @ lam)
+            step = np.linalg.lstsq(D.T, np.ones(n), rcond=None)[0]
+            d = np.concatenate(([-step.sum()], step))
+            decrement = float(np.linalg.norm(step @ D))
+            if decrement <= 1e-15:
+                break
+            neg = d < 0.0
+            ratios = -lam[neg] / d[neg]
+            tmax = float(ratios.min()) if neg.any() else np.inf
+            damped = 1.0 / (1.0 + decrement)
+            lam = lam + min(tmax, damped) * d
+            if tmax <= damped:
+                lam[np.flatnonzero(neg)[ratios.argmin()]] = 0.0
+            keep = lam > 0.0
+            P, lam = P[keep], lam[keep] / lam[keep].sum()
+        cur = P.T @ lam
+        grad = 1.0 / cur
+        vertex = tensor[seg, (tensor @ grad).argmax(axis=1), :].sum(axis=0)
+        gap = float(grad @ (vertex - cur))
+        if gap <= 1e-12 * n:
+            return cur
+        P = np.vstack([P, vertex])
+        lam = np.append(lam * (1.0 - 1e-3), 1e-3)
+    raise DegenerateNashPoint("reference ran out of rounds")
+
+
+def test_nash_frank_wolfe_matches_lstsq_reference(rng, monkeypatch):
+    profiles = [
+        random_profile(rng, space=SPACE, n_agents=n, n_concerned=n) for n in (3, 4) for _ in range(150)
+    ]
+    profiles += [_twin_profile(rng, n) for n in (3, 4) for _ in range(30)]
+    for trial in (56, 65, 75):
+        profiles += [profile for profile, _ in _continuity_solves(monkeypatch, trial)]
+    deficient = 0
+    newton_step = swf_module._newton_step
+
+    def counting(cols, n):
+        nonlocal deficient
+        if cols and np.linalg.matrix_rank(np.array(cols)) < min(len(cols), n):
+            deficient += 1
+        return newton_step(cols, n)
+
+    monkeypatch.setattr(swf_module, "_newton_step", counting)
+    for profile in profiles:
+        perm = _canonical_order(profile)
+        tensor = np.ascontiguousarray(geometry_for(profile).tensor[:, :, perm])
+        got = np.empty(len(perm))
+        want = np.empty(len(perm))
+        got[perm] = swf_module._nash_frank_wolfe(tensor)
+        want[perm] = _nash_frank_wolfe_reference(tensor)
+        _assert_nash_certified(profile, got)
+        _assert_nash_certified(profile, want)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert deficient >= 20
+
+
+def test_newton_step_branches_match_lstsq():
+    # full column rank (back substitution), more columns than rows, twin
+    # rows, a zero column, and no columns at all (the single-vertex hull)
+    cases = [
+        [[1.0, 0.5, -0.2], [0.3, -1.0, 0.4]],
+        [[1.0, 0.5, -0.2], [0.3, -1.0, 0.4], [0.2, 0.1, 1.0], [-0.7, 0.6, 0.5]],
+        [[1.0, 1.0, -0.2], [0.3, 0.3, 0.4], [0.5, 0.5, 0.9]],
+        [[0.0, 0.0, 0.0], [0.3, -1.0, 0.4]],
+        [],
+    ]
+    for cols in cases:
+        step, decrement = swf_module._newton_step(cols, 3)
+        if not cols:
+            assert (step, decrement) == ([], 0.0)
+            continue
+        A = np.array(cols).T
+        want = np.linalg.lstsq(A, np.ones(3), rcond=None)[0]
+        assert np.abs(np.array(step) - want).max() <= 1e-14
+        assert decrement == pytest.approx(float(np.linalg.norm(A @ want)), abs=1e-14)
+
+
+@pytest.mark.parametrize("n_agents", [2, 3, 4])
+def test_nash_point_folds_without_builtin_sum(rng, monkeypatch, n_agents):
+    # builtin sum compensates from Python 3.12 on; a float sum anywhere on
+    # the solve would make swf1's bits depend on the interpreter
+    real_sum = builtins.sum
+
+    def guarded(items, start=0):
+        items = list(items)
+        if isinstance(start, float) or any(isinstance(v, float) for v in items):
+            raise AssertionError("builtin sum over floats")
+        return real_sum(items, start)
+
+    profiles = [
+        random_profile(rng, space=SPACE, n_agents=max(n_agents, 3), n_concerned=n_agents)
+        for _ in range(5)
+    ]
+    if n_agents > 2:
+        profiles.append(_twin_profile(rng, n_agents))
+    monkeypatch.setattr(builtins, "sum", guarded)
+    for profile in profiles:
+        x = _nash_point(profile)
+        assert np.all(x > 0.0)
+
+
 def test_swf1_simplex_weights_equalize():
     result = swf1(_simplex_profile())
     ws = [w for _, w in result.utility_weights]
@@ -280,15 +406,27 @@ def test_nash_point_two_agents_exact(table1):
     assert w[1] == pytest.approx(x, abs=1e-12)
 
 
+def _twin_profile(rng, n_agents):
+    """Agents 0 and 1 share one preference; the rest are drawn freely."""
+    drawn = random_profile(rng, space=SPACE, n_agents=3, n_concerned=n_agents - 1)
+    prefs = [drawn.agents[i] for i in drawn.concerned]
+    return Profile(SPACE, (prefs[0], *prefs))
+
+
 def test_swf1_permutation_exact_weights(rng):
-    profile = random_profile(rng, space=SPACE, n_agents=3, n_concerned=3)
-    base = dict(swf1(profile).utility_weights)
-    prefs = profile.agents
-    for perm in ((1, 0, 2), (2, 1, 0), (1, 2, 0), (2, 0, 1)):
-        shuffled = Profile(SPACE, tuple(prefs[p] for p in perm))
-        got = dict(swf1(shuffled).utility_weights)
-        for new_pos, old_pos in enumerate(perm):
-            assert got[new_pos] == base[old_pos]  # bit-identical
+    profiles = [
+        random_profile(rng, space=SPACE, n_agents=3, n_concerned=3),
+        random_profile(rng, space=SPACE, n_agents=4, n_concerned=4),
+        _twin_profile(rng, 3),
+    ]
+    for profile in profiles:
+        base = dict(swf1(profile).utility_weights)
+        prefs = profile.agents
+        for perm in itertools.permutations(range(len(prefs))):
+            shuffled = Profile(SPACE, tuple(prefs[p] for p in perm))
+            got = dict(swf1(shuffled).utility_weights)
+            for new_pos, old_pos in enumerate(perm):
+                assert got[new_pos] == base[old_pos]  # bit-identical
 
 
 def test_max_product_polygon_square():
