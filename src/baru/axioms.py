@@ -32,6 +32,7 @@ from .measure import (
     EventSet,
     TOL_EXACT,
     TOL_MEASURE,
+    _values_along,
     belief_distance,
     cell_values,
     merged_breakpoints,
@@ -462,36 +463,25 @@ def common_belief_feasible(
     if favor not in ("f", "g"):
         raise ValueError("favor must be 'f' or 'g'")
     hi, lo = (f, g) if favor == "f" else (g, f)
-    extra = list(hi.breakpoints()) + list(lo.breakpoints())
-    for ev, _ in pinned:
-        for a, b in ev.intervals:
-            extra.extend((a, b))
-    bps = tuple(sorted(set([0.0, 1.0] + [float(x) for x in extra])))
-    segs = list(zip(bps[:-1], bps[1:]))
-    S = len(segs)
+    ends = [x for ev, _ in pinned for ab in ev.intervals for x in ab]
+    bps = merged_breakpoints((), hi.breakpoints() + lo.breakpoints() + tuple(ends))
+    lefts = bps[:-1]
+    labels = (_values_along(act.breakpoints(), [s[2] for s in act.segments], lefts) for act in (hi, lo))
+    pairs = list(zip(*labels))
     ids = profile.concerned
-    n_rows = 1 + len(ids) + len(pinned)
-    A = np.zeros((n_rows, S + len(ids)))
-    b = np.zeros(n_rows)
-    A[0, :S] = 1.0
-    b[0] = 1.0
+    # One mass per cell, then one slack per concerned agent: the favored
+    # act's advantage minus the slack is zero, so the advantage is >= 0.
+    A = [[1.0] * len(lefts) + [0.0] * len(ids)]
     for r, i in enumerate(ids):
         u = profile.agents[i].utility
-        for s, (a0, _) in enumerate(segs):
-            mid = a0 + 0.5 * (segs[s][1] - a0)
-            A[1 + r, s] = u.value(hi.outcome_at(mid)) - u.value(lo.outcome_at(mid))
-        A[1 + r, S + r] = -1.0  # slack: advantage of the favored act >= 0
-    for k, (ev, target) in enumerate(pinned):
-        row = 1 + len(ids) + k
-        for s, (a0, b0) in enumerate(segs):
-            mid = 0.5 * (a0 + b0)
-            if ev.contains_point(mid):
-                A[row, s] = 1.0
-        b[row] = float(target)
-    x = lp.feasible_point(A, b)
+        slack = [-1.0 if j == r else 0.0 for j in range(len(ids))]
+        A.append([u.value(h) - u.value(l) for h, l in pairs] + slack)
+    for ev, _ in pinned:
+        A.append([1.0 if hit else 0.0 for hit in ev.contains_along(lefts)] + [0.0] * len(ids))
+    x = lp.feasible_point(A, [1.0] + [0.0] * len(ids) + [target for _, target in pinned])
     if x is None:
         return None
-    return [(a0, b0, float(x[s])) for s, (a0, b0) in enumerate(segs)]
+    return list(zip(lefts, bps[1:], x))
 
 
 @dataclass(frozen=True)
@@ -645,12 +635,10 @@ def _tilted(d: Density) -> Density:
     return Density(bps, tuple(v / total for v in vals))
 
 
-def continuity_probe(
-    swf: Swf,
-    profile: Profile,
-    agent: int | None = None,
-    steps: Sequence[float] = (1e-1, 1e-2, 1e-3, 1e-4),
-) -> ContinuityReport:
+_PROBE_STEPS = (1e-1, 1e-2, 1e-3, 1e-4)
+
+
+def continuity_probe(swf: Swf, profile: Profile, agent: int | None = None) -> ContinuityReport:
     """Perturbs one agent's belief and utility by decreasing sup-norm
     amounts and watches whether the output preference distance shrinks
     along with the input; a two-decade ratio failure flags the rule."""
@@ -671,7 +659,7 @@ def continuity_probe(
     scale = max(sup_b, sup_u)
     base = swf(profile).preference
     rows = []
-    for step in steps:
+    for step in _PROBE_STEPS:
         t = 0.0 if scale <= 0.0 else min(1.0, step / scale)
         mixed_vals = tuple([(1.0 - t) * x + t * y for x, y in cells])
         mixed_belief = Density(bps, mixed_vals)

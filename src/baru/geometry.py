@@ -309,14 +309,13 @@ def _polygon_distance(
 def image_polytope(
     profile: Profile,
     restriction: tuple[Coarsening | None, Sequence[str] | None] | None = None,
-    directions: np.ndarray | None = None,
 ) -> ImagePolytope:
     """Image polytope of the profile's concerned agents, optionally
     restricted to acts that factor through a coarsening and/or use only a
     subset of the outcomes."""
     coarsening, labels = restriction if restriction is not None else (None, None)
     geom = geometry_for(profile, coarsening, labels)
-    dirs = direction_set(geom.dimension) if directions is None else np.atleast_2d(directions)
+    dirs = direction_set(geom.dimension)
     support = support_values(geom, dirs)
     vertices: tuple | None = None
     if geom.dimension == 1:

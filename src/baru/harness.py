@@ -28,7 +28,7 @@ from .axioms import (
     check_restricted_pareto,
     continuity_probe,
 )
-from .measure import Coarsening, Density, Infeasible, TOL_EXACT, cell_values
+from .measure import Coarsening, Density, Infeasible, TOL_EXACT, TOL_MEASURE, cell_values
 from .prefs import (
     Act,
     INDIFFERENT,
@@ -81,9 +81,9 @@ def random_space(rng: random.Random, lo: int = 4, hi: int = 6) -> OutcomeSpace:
     return OutcomeSpace(tuple(f"o{k + 1}" for k in range(n)))
 
 
-def random_density(rng: random.Random, pieces: int | None = None) -> Density:
+def random_density(rng: random.Random) -> Density:
     """Piecewise-constant density with breakpoints on the 1/GRID lattice."""
-    k = pieces if pieces is not None else rng.randint(2, 4)
+    k = rng.randint(2, 4)
     cuts = sorted(rng.sample(range(1, GRID), k - 1))
     bps = (0.0, *(c / GRID for c in cuts), 1.0)
     raw = [rng.uniform(0.15, 2.0) for _ in range(k)]
@@ -104,8 +104,8 @@ def random_utility(rng: random.Random, space: OutcomeSpace) -> Utility:
     return Utility(vals)
 
 
-def random_act(rng: random.Random, space: OutcomeSpace, max_pieces: int = 5) -> Act:
-    k = rng.randint(2, max_pieces)
+def random_act(rng: random.Random, space: OutcomeSpace) -> Act:
+    k = rng.randint(2, 5)
     cuts = sorted(rng.sample(range(1, GRID), k - 1))
     bps = (0.0, *(c / GRID for c in cuts), 1.0)
     return Act.from_segments(
@@ -118,8 +118,8 @@ def reversal(u: Utility) -> Utility:
     return Utility({lab: 1.0 - u.value(lab) for lab in u.labels})
 
 
-def _is_common_utility(profile: Profile, tol: float = 1e-9) -> bool:
-    """All concerned agents share one utility up to reversal."""
+def _is_common_utility(profile: Profile) -> bool:
+    """All concerned agents share one utility up to reversal, within TOL_MEASURE."""
     ids = profile.concerned
     if len(ids) < 2:
         return False
@@ -127,8 +127,8 @@ def _is_common_utility(profile: Profile, tol: float = 1e-9) -> bool:
     base = profile.agents[ids[0]].utility
     for i in ids[1:]:
         u = profile.agents[i].utility
-        same = all(abs(u.value(l) - base.value(l)) <= tol for l in labs)
-        rev = all(abs(u.value(l) - (1.0 - base.value(l))) <= tol for l in labs)
+        same = all(abs(u.value(l) - base.value(l)) <= TOL_MEASURE for l in labs)
+        rev = all(abs(u.value(l) - (1.0 - base.value(l))) <= TOL_MEASURE for l in labs)
         if not (same or rev):
             return False
     return True
@@ -614,17 +614,21 @@ def matrix_counts(trials: int) -> dict[str, int]:
     """Split a per-rule trial budget over the six checked axioms."""
     if trials < len(MATRIX_AXIOMS):
         raise ValueError("need at least one trial per axiom")
+    # Anonymity takes what is left, about 0.26 of the rest.
     shares = {
-        "anonymity": 0.26,
         "no-belief-imposition": 0.26,
         "restricted-monotonicity": 0.26,
         "independence-redundant-acts": 0.13,
         "continuity": 0.09,
     }
-    counts = {"faithfulness": 1}
+    counts = {"faithfulness": 1, "anonymity": 1}
     rest = trials - 1
     for axiom, share in shares.items():
         counts[axiom] = max(1, round(share * rest))
+    # On the smallest budgets the shares round up past the budget; the
+    # largest of them gives back until anonymity keeps its one trial.
+    while sum(counts.values()) > trials:
+        counts[max(shares, key=counts.get)] -= 1
     counts["anonymity"] += trials - sum(counts.values())
     return counts
 

@@ -8,18 +8,19 @@ common-belief LP has 1 + n + pinned rows and unbounded columns.
 A plain dense tableau with Bland's rule is exact enough at that scale and
 keeps the answer deterministic, which the witness re-run guarantees rely on.
 
-The tableau is a list of rows of Python floats: at a few rows by a few
-dozen columns, one numpy call costs more than the arithmetic it does.
-Every entry goes through the float64 operations a numpy tableau would
-apply, in the same order, signed zeros included, so the point keeps its
-bits.  numpy only rebuilds a drifted tableau (`np.linalg.solve`) and
-holds the returned point.
+Data and point are Python lists (arrays are accepted too), and so is
+the tableau, a list of rows of floats: at a few rows by a few dozen
+columns, one numpy call costs more than the arithmetic it does.  Every
+entry goes through the float64 operations a numpy tableau would apply,
+in the same order, signed zeros included, so the point keeps its bits.
+numpy only rebuilds a drifted tableau (`np.linalg.solve`).
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from math import inf
+from numbers import Real
 from operator import add, mul
 
 import numpy as np
@@ -32,38 +33,40 @@ FEAS_TOL = 1e-9
 _MAX_ITER = 20_000
 
 
-def feasible_point(A, b, upper=None) -> np.ndarray | None:
-    """Return some x with A x = b and 0 <= x <= upper, or None when none
-    exists.  `A` and `b` are arrays or nested lists; `upper` is None, one
-    bound for all columns or one per column.
+def feasible_point(A, b, upper=None) -> list[float] | None:
+    """Return some x with A x = b and 0 <= x <= upper as a list of floats,
+    or None when none exists.  `A` is a rectangular nested sequence (or a
+    2-d array) and `b` a sequence; `upper` is None, one bound for all
+    columns or one per column.
 
     Bounds need no slack rows (Dantzig's upper-bounding technique): a
     nonbasic variable at its bound is complemented, x_j = u_j - x'_j.
     The point is a basic solution of the phase-1 simplex with Bland's
-    rule, so identical input yields the identical vector.
+    rule, so identical input yields the identical list.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
+    try:
+        rows = [list(map(float, row)) for row in A]
+        rhs = list(map(float, b))
+    except TypeError:
+        raise ValueError("feasible_point: A must be (m, n) and b must be (m,)") from None
+    m = len(rows)
+    # With no rows only an array's shape still gives the width.
+    n = len(rows[0]) if rows else getattr(A, "shape", (0, 0))[-1]
+    if len(rhs) != m or any(len(row) != n for row in rows):
         raise ValueError("feasible_point: A must be (m, n) and b must be (m,)")
-    m, n = A.shape
     bounds = [inf] * (n + m)
     if upper is not None:
-        up = np.asarray(upper, dtype=float)
-        bounds[:n] = [float(up)] * n if up.ndim == 0 else up.tolist()
-        if up.ndim > 1 or len(bounds) != n + m or not all(u >= 0.0 for u in bounds):
+        bounds[:n] = [float(upper)] * n if isinstance(upper, Real) else map(float, upper)
+        if len(bounds) != n + m or not all(u >= 0.0 for u in bounds):
             raise ValueError("feasible_point: need one nonnegative upper bound per column")
     if m == 0:
-        return np.zeros(n)
+        return [0.0] * n
 
     # Flip rows so the right-hand side is nonnegative, then add one
     # artificial variable per row; minimising their sum is phase 1.
-    rows, rhs = [], []
-    for row, v in zip(A.tolist(), b.tolist()):
+    for i, v in enumerate(rhs):
         if v < 0.0:
-            row, v = [-a for a in row], -v
-        rows.append(row)
-        rhs.append(v)
+            rows[i], rhs[i] = [-a for a in rows[i]], -v
     T = [row + [0.0] * m + [v] for row, v in zip(rows, rhs)]
     for i in range(m):
         T[i][n + i] = 1.0
@@ -95,7 +98,7 @@ def feasible_point(A, b, upper=None) -> np.ndarray | None:
         if not _pivot(T, basis, bounds, flipped) or -T[m][-1] > tol:
             return None
         x = _point(T, basis, bounds, flipped, n)
-    return np.array(x)
+    return x
 
 
 def _pivot(T: list[list[float]], basis: list[int], bounds: list[float], flipped: list[bool]) -> bool:

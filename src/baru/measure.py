@@ -21,8 +21,6 @@ from math import fsum, inf
 from operator import mul, sub
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import lp
 
 TOL_MEASURE = 1e-9
@@ -127,11 +125,12 @@ class EventSet:
         merged = _merge_intervals(self.intervals + other.intervals)
         return EventSet(tuple((a, b) for a, b in merged))
 
-    def contains_point(self, x: float) -> bool:
-        for a, b in self.intervals:
-            if a <= x < b:
-                return True
-        return False
+    def contains_along(self, points: Iterable[float]) -> list[bool]:
+        """Whether each of a non-decreasing run of points lies in the
+        event: one `_values_along` walk over the step function that is
+        True on the intervals and False between them."""
+        edges = (0.0, *(x for ab in self.intervals for x in ab), 1.0)
+        return _values_along(edges, (False, True) * len(self.intervals) + (False,), points)
 
     def as_dict(self) -> dict:
         return {"intervals": [[a, b] for a, b in self.intervals]}
@@ -241,27 +240,30 @@ def measure(density: Density, event: EventSet) -> float:
     return fsum(density.mass(a, b) for a, b in event.intervals)
 
 
-def _values_along(density: Density, points: Iterable[float]) -> list[float]:
-    """`density.value_at(x)` for each of a non-decreasing run of points, by
-    one walk along the breakpoints instead of a search per point."""
-    bp, vals = density.breakpoints, density.values
-    last = len(vals) - 1
+def _values_along(breakpoints: Sequence[float], values: Sequence, points: Iterable[float]) -> list:
+    """Value of a step function, `values[k]` on [breakpoints[k],
+    breakpoints[k+1]), at each of a non-decreasing run of points, by one
+    walk along the breakpoints instead of a search per point.  Points left
+    of the first step take the first value and points right of the last
+    step the last value; a step of width zero is passed over."""
+    last = len(values) - 1
     i = 0
-    edge = bp[1] if last else inf  # right end of cell i; none for the last
+    edge = breakpoints[1] if last else inf  # right end of step i; none for the last
     out = []
     for x in points:
         while x >= edge:
             i += 1
-            edge = bp[i + 1] if i < last else inf
-        out.append(vals[i])
+            edge = breakpoints[i + 1] if i < last else inf
+        out.append(values[i])
     return out
 
 
 def cell_values(density: Density, grid: Sequence[float]) -> list[float]:
-    """`value_at` of each cell's left end, for the cells [grid[k],
-    grid[k+1]) of a sorted grid.  Where the grid refines the density's
-    breakpoints, that is the density's value on the whole cell."""
-    return _values_along(density, grid[:-1])
+    """The density's value at each cell's left end, for the cells
+    [grid[k], grid[k+1]) of a sorted grid, by one `_values_along` walk.
+    Where the grid refines the density's breakpoints, that is the
+    density's value on the whole cell."""
+    return _values_along(density.breakpoints, density.values, grid[:-1])
 
 
 def interval_masses(density: Density, segments: Iterable[Sequence]) -> list[float]:
@@ -353,14 +355,14 @@ def lyapunov_event(
 
     region = within if within is not None else EventSet.FULL
     bps = merged_breakpoints(densities, (x for ab in region.intervals for x in ab))
-    inside = [k for k, a in enumerate(bps[:-1]) if region.contains_point(a)]
+    inside = [k for k, hit in enumerate(region.contains_along(bps[:-1])) if hit]
     if not inside:
         raise Infeasible("empty region")
     segments = [(bps[k], bps[k + 1]) for k in inside]
 
     # One fraction 0 <= lam_s <= 1 per segment; one row per density.
-    A = np.array([cell_values(d, bps) for d in densities])[:, inside] * np.diff(bps)[inside]
-    x = lp.feasible_point(A, np.asarray(targets, dtype=float), upper=1.0)
+    A = [[m[k] for k in inside] for m in (segment_masses(d, bps) for d in densities)]
+    x = lp.feasible_point(A, targets, upper=1.0)
     if x is None:
         raise Infeasible(f"no event attains probabilities {tuple(targets)}")
     event = _event_from_fractions(segments, x)
@@ -496,10 +498,10 @@ def pushforward_coarsening(q: Coarsening, density: Density) -> Density:
         slope = (tb - ta) / (sb - sa)
         if orient > 0:
             srcs = [sa + (mid - ta) / slope for mid in mids[lo:hi]]
-            dens = _values_along(density, srcs)
+            dens = _values_along(density.breakpoints, density.values, srcs)
         else:
             srcs = [sb - (mid - ta) / slope for mid in mids[lo:hi]]
-            dens = _values_along(density, reversed(srcs))[::-1]
+            dens = _values_along(density.breakpoints, density.values, reversed(srcs))[::-1]
         for k, v in enumerate(dens, lo):
             values[k] += v / slope
     return Density(bps, tuple(values))

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import fsum, isfinite
+from operator import sub
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from . import lp
 from .measure import (
@@ -364,17 +363,17 @@ def realize_lottery_act(
         raise ValueError("need at least one belief")
     lott = lottery if isinstance(lottery, Lottery) else Lottery(lottery, space)
     bps = merged_breakpoints(beliefs)
-    M = np.array([segment_masses(d, bps) for d in beliefs])
+    M = [segment_masses(d, bps) for d in beliefs]
     weighted = [(lab, p) for lab in space.labels if (p := lott.value(lab)) > 0.0]
-    free = np.ones(len(bps) - 1)
+    free = [1.0] * (len(bps) - 1)
     shares = []
     for lab, p in weighted[:-1]:
-        lam = lp.feasible_point(M, np.full(len(beliefs), p), upper=free)
+        lam = lp.feasible_point(M, [p] * len(beliefs), upper=free)
         if lam is None:
             raise Infeasible("internal: lottery allocation LP reported infeasible")
-        shares.append((lab, lam.tolist()))
-        free = free - lam
-    shares.append((weighted[-1][0], free.tolist()))
+        shares.append((lab, lam))
+        free = list(map(sub, free, lam))
+    shares.append((weighted[-1][0], free))
 
     pieces: list[tuple[float, float, str]] = []
     for s, (a, bnd) in enumerate(zip(bps[:-1], bps[1:])):

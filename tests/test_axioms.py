@@ -1,6 +1,7 @@
 """Single-scenario axiom checkers, co-redundancy certification, spurious
 unanimity, the three-horse demonstration, and the continuity probe."""
 
+import math
 import random
 
 import numpy as np
@@ -10,6 +11,7 @@ from baru import (
     Act,
     Coarsening,
     Density,
+    EventSet,
     INDIFFERENT,
     OutcomeSpace,
     Preference,
@@ -41,8 +43,9 @@ from baru.axioms import (
     _exact_support_gap,
     certify_coredundancy,
 )
+from baru import lp
 from baru.geometry import geometry_for, support_values
-from baru.harness import ira_scenario, random_profile, reversal
+from baru.harness import ira_scenario, random_profile, random_utility, reversal
 from baru.measure import TOL_MEASURE
 
 SPACE = OutcomeSpace(("a", "b", "c", "d"))
@@ -470,6 +473,102 @@ def test_common_belief_exists_for_g(table1):
             for a, _, m in masses
         )
         assert adv >= -1e-9
+
+
+def _common_belief_feasible_reference(profile, f, g, favor="f", pinned=()):
+    """`common_belief_feasible` as a per-cell scan: a numpy matrix filled
+    by `Act.outcome_at` and an interval test at each cell's midpoint.  It
+    agrees except on cells one ulp wide, whose midpoint can round to the
+    right end."""
+    hi, lo = (f, g) if favor == "f" else (g, f)
+    extra = list(hi.breakpoints()) + list(lo.breakpoints())
+    for ev, _ in pinned:
+        for a, b in ev.intervals:
+            extra.extend((a, b))
+    bps = tuple(sorted(set([0.0, 1.0] + [float(x) for x in extra])))
+    segs = list(zip(bps[:-1], bps[1:]))
+    S = len(segs)
+    ids = profile.concerned
+    n_rows = 1 + len(ids) + len(pinned)
+    A = np.zeros((n_rows, S + len(ids)))
+    b = np.zeros(n_rows)
+    A[0, :S] = 1.0
+    b[0] = 1.0
+    for r, i in enumerate(ids):
+        u = profile.agents[i].utility
+        for s, (a0, b0) in enumerate(segs):
+            mid = a0 + 0.5 * (b0 - a0)
+            A[1 + r, s] = u.value(hi.outcome_at(mid)) - u.value(lo.outcome_at(mid))
+        A[1 + r, S + r] = -1.0
+    for k, (ev, target) in enumerate(pinned):
+        for s, (a0, b0) in enumerate(segs):
+            mid = 0.5 * (a0 + b0)
+            if any(a <= mid < b for a, b in ev.intervals):
+                A[1 + len(ids) + k, s] = 1.0
+        b[1 + len(ids) + k] = float(target)
+    x = lp.feasible_point(A, b)
+    if x is None:
+        return None
+    return [(a0, b0, float(x[s])) for s, (a0, b0) in enumerate(segs)]
+
+
+def _cut(rng: random.Random) -> float:
+    """A point inside (0, 1): on the 1/16 lattice, which the acts and
+    events then share, or anywhere."""
+    return rng.randrange(1, 16) / 16 if rng.random() < 0.5 else rng.uniform(0.01, 0.99)
+
+
+def test_common_belief_feasible_matches_per_cell_reference():
+    rng = random.Random(20240818)
+    tally = {"feasible": 0, "infeasible": 0, "pinned at 0": 0, "pinned at 1": 0}
+    agents_seen, pins_seen = set(), set()
+    for trial in range(2400):
+        n = rng.randint(1, 3)
+        agents = [Preference(Density.uniform(), random_utility(rng, SPACE)) for _ in range(n)]
+        agents += [INDIFFERENT] * (3 - n + rng.randint(0, 1))
+        rng.shuffle(agents)
+        profile = Profile(SPACE, tuple(agents))
+        f, g = (
+            Act.from_segments(
+                [(a, b, rng.choice(SPACE.labels)) for a, b in zip(bps, bps[1:])], merge=True
+            )
+            for bps in (
+                (0.0, *sorted({_cut(rng) for _ in range(rng.randint(0, 4))}), 1.0) for _ in "fg"
+            )
+        )
+        pinned = []
+        for _ in range(rng.randint(0, 2)):
+            pool = (0.0, 1.0, _cut(rng), _cut(rng), _cut(rng), _cut(rng))
+            ends = sorted({rng.choice(pool) for _ in range(2 * rng.randint(1, 3))})
+            event = EventSet.from_intervals(zip(ends[::2], ends[1::2]))
+            if event.intervals:
+                tally["pinned at 0"] += event.intervals[0][0] == 0.0
+                tally["pinned at 1"] += event.intervals[-1][1] == 1.0
+            pinned.append((event, rng.uniform(0.0, 1.0)))
+        favor = "fg"[trial % 2]
+        got = common_belief_feasible(profile, f, g, favor, pinned)
+        assert repr(got) == repr(_common_belief_feasible_reference(profile, f, g, favor, pinned))
+        tally["infeasible" if got is None else "feasible"] += 1
+        agents_seen.add(n)
+        pins_seen.add(len(pinned))
+    assert agents_seen == {1, 2, 3} and pins_seen == {0, 1, 2}
+    assert min(tally.values()) >= 200, tally
+
+
+def test_common_belief_feasible_reads_one_ulp_cells_at_left_end():
+    # g switches one ulp after f; the midpoint of the cell between them
+    # rounds to its right end, where g already shows "d"
+    x = 0.3
+    y = math.nextafter(x, 1.0)
+    assert x + 0.5 * (y - x) == y
+    f = Act.from_segments(((0.0, x, "a"), (x, 1.0, "b")))
+    g = Act.from_segments(((0.0, y, "c"), (y, 1.0, "d")))
+    u = Utility({"a": 0.0, "b": 0.0, "c": 1.0, "d": 0.0})
+    profile = Profile(SPACE, (Preference(Density.uniform(), u), INDIFFERENT, INDIFFERENT))
+    masses = common_belief_feasible(profile, f, g, favor="f")
+    assert masses is not None
+    adv = sum(m * (u.value(f.outcome_at(a)) - u.value(g.outcome_at(a))) for a, _, m in masses)
+    assert adv >= -1e-9
 
 
 def test_shared_belief_unanimity_not_spurious():

@@ -198,13 +198,34 @@ def test_unknown_axiom_raises():
 
 
 def test_matrix_counts_partition():
-    for trials in (6, 100, 10001):
+    for trials in range(6, 5001):
         counts = matrix_counts(trials)
         assert sum(counts.values()) == trials
         assert counts["faithfulness"] == 1
         assert set(counts) == set(MATRIX_AXIOMS)
+        assert min(counts.values()) >= 1, (trials, counts)
     with pytest.raises(ValueError):
         matrix_counts(3)
+
+
+def test_matrix_counts_pinned_budgets():
+    # criterion 5's budget and the benchmark's matrix workload
+    assert matrix_counts(10001) == {
+        "faithfulness": 1,
+        "anonymity": 2600,
+        "no-belief-imposition": 2600,
+        "restricted-monotonicity": 2600,
+        "independence-redundant-acts": 1300,
+        "continuity": 900,
+    }
+    assert matrix_counts(845) == {
+        "faithfulness": 1,
+        "anonymity": 220,
+        "no-belief-imposition": 219,
+        "restricted-monotonicity": 219,
+        "independence-redundant-acts": 110,
+        "continuity": 76,
+    }
 
 
 BATTERY_SPOT_CHECKS = (

@@ -13,6 +13,7 @@ def test_simple_feasible_system():
     b = np.array([1.0, 1.0])
     x = feasible_point(A, b)
     assert x is not None
+    x = np.array(x)
     assert np.all(x >= -1e-12)
     assert np.abs(A @ x - b).max() <= FEAS_TOL
 
@@ -42,7 +43,7 @@ def test_nonnegativity_blocks_sign_infeasible_system():
 
 def test_zero_rows_shape():
     x = feasible_point(np.zeros((0, 4)), np.zeros(0))
-    assert x is not None and x.shape == (4,)
+    assert x == [0.0] * 4
 
 
 def test_shape_validation():
@@ -50,6 +51,8 @@ def test_shape_validation():
         feasible_point(np.zeros((2, 2)), np.zeros(3))
     with pytest.raises(ValueError):
         feasible_point(np.zeros(4), np.zeros(2))
+    with pytest.raises(ValueError):
+        feasible_point([[1.0, 1.0], [1.0]], [1.0, 1.0])
 
 
 def test_determinism_on_repeated_call():
@@ -74,6 +77,7 @@ def test_random_feasible_batch():
         b = A @ x0
         x = feasible_point(A, b)
         assert x is not None
+        x = np.array(x)
         assert np.all(x >= -1e-10)
         assert np.abs(A @ x - b).max() <= 1e-8
 
@@ -216,6 +220,7 @@ def test_bounded_variables_match_slack_row_form():
             outcomes["infeasible"] += 1
             continue
         outcomes["feasible"] += 1
+        x = np.array(x)
         assert np.all(x >= 0.0) and np.all(x <= upper)
         assert np.abs(A @ x - b).max() <= FEAS_TOL * max(1.0, np.abs(b).max())
     assert min(outcomes.values()) >= 30
@@ -224,7 +229,9 @@ def test_bounded_variables_match_slack_row_form():
 def test_bounded_variables_scalar_bound_and_validation():
     A = np.array([[1.0, 1.0, 1.0]])
     x = feasible_point(A, np.array([2.5]), 1.0)
-    assert x is not None and np.all((0.0 <= x) & (x <= 1.0))
+    assert x is not None
+    x = np.array(x)
+    assert np.all((0.0 <= x) & (x <= 1.0))
     assert abs(x.sum() - 2.5) <= FEAS_TOL
     assert feasible_point(A, np.array([3.5]), 1.0) is None
     with pytest.raises(ValueError):
@@ -256,6 +263,7 @@ def test_drift_repair_rebuilds_complemented_columns(monkeypatch):
         monkeypatch.setattr(lp, "_pivot", drifting)
         x = feasible_point(A, b, upper)
         assert x is not None
+        x = np.array(x)
         assert np.all(x >= 0.0) and np.all(x <= upper)
         assert np.abs(A @ x - b).max() <= FEAS_TOL * max(1.0, np.abs(b).max())
         repaired_with_flips += len(calls) == 2 and calls[0]
@@ -398,14 +406,20 @@ def test_list_tableau_matches_numpy_tableau_bits(monkeypatch):
         monkeypatch.setattr(lp, "_pivot", drifting)
         args = (A, b) if upper is None else (A, b, upper)
         x = feasible_point(*args)
+        tally["repaired"] += len(calls) == 2
         x_ref = _feasible_point_numpy(A, b, upper, drift)
         if x_ref is None:
             assert x is None
             tally["infeasible"] += 1
         else:
-            assert x is not None and x.tobytes() == x_ref.tobytes()
+            assert x is not None and np.array(x).tobytes() == x_ref.tobytes()
             tally["feasible"] += 1
-        tally["repaired"] += len(calls) == 2
+        # the same LP as nested lists, drifted the same way
+        calls.clear()
+        x_lists = feasible_point(*(a.tolist() for a in args))
+        assert (x_lists is None) == (x is None)
+        if x is not None:
+            assert np.array(x_lists).tobytes() == np.array(x).tobytes()
     assert min(tally.values()) >= 30, tally
 
 
@@ -413,6 +427,8 @@ def test_list_tableau_accepts_nested_lists():
     A = [[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]]
     b, upper = [0.4, 0.4], [1.0, 0.5, 1.0]
     x = feasible_point(A, b, upper)
-    assert x is not None and x.dtype == float
-    assert x.tobytes() == feasible_point(np.array(A), np.array(b), np.array(upper)).tobytes()
-    assert x.tobytes() == _feasible_point_numpy(A, b, upper).tobytes()
+    assert type(x) is list and all(type(v) is float for v in x)
+    from_arrays = feasible_point(np.array(A), np.array(b), np.array(upper))
+    assert type(from_arrays) is list
+    assert np.array(x).tobytes() == np.array(from_arrays).tobytes()
+    assert np.array(x).tobytes() == _feasible_point_numpy(A, b, upper).tobytes()

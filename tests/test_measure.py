@@ -314,6 +314,30 @@ def test_cell_values_match_value_at_on_refinements():
     assert slivers > 100
 
 
+def test_contains_along_matches_interval_scan():
+    rng = random.Random(7170)
+    hits = misses = 0
+    for _ in range(500):
+        pool = (0.0, 1.0, *(rng.randrange(1, 8) / 8 for _ in range(2)), *(rng.random() for _ in range(2)))
+        ends = sorted({rng.choice(pool) for _ in range(rng.randint(0, 8))})
+        pairs = list(zip(ends[::2], ends[1::2]))
+        if pairs and rng.random() < 0.3:
+            # two abutting pieces, which the constructor accepts as given
+            a, b = pairs[-1]
+            mid = 0.5 * (a + b)
+            pairs[-1:] = [(a, mid), (mid, b)]
+        event = EventSet(tuple(pairs))
+        pts = [rng.random() for _ in range(6)]
+        for x in ends:  # every interval end and its float neighbours
+            pts += [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+        pts.sort()
+        want = [any(a <= x < b for a, b in event.intervals) for x in pts]
+        assert event.contains_along(pts) == want
+        hits += sum(want)
+        misses += len(want) - sum(want)
+    assert min(hits, misses) > 1000
+
+
 def test_interval_masses_match_density_mass():
     rng = random.Random(6160)
     for _ in range(500):
