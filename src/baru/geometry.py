@@ -212,7 +212,10 @@ def minkowski_polygon(geom: ProfileGeometry) -> tuple[tuple[float, float], ...]:
     segment's hull.  So the utility points are hulled once and that hull
     is scaled per segment.  A segment where an agent has zero mass
     collapses onto an axis, where its hull is the segment between the
-    scaled lowest and highest utility points, or a single point."""
+    scaled lowest and highest utility points, or a single point.
+
+    `image_polytope` uses the whole polygon.  swf1's bargaining point does
+    not: it walks only the Pareto chain (`swf._pareto_walk`)."""
     if geom.dimension != 2:
         raise ValueError("exact polygon only at dimension 2")
     u1, u2 = geom.utils.tolist()

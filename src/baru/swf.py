@@ -9,14 +9,14 @@ and the checkers in `axioms` are expected to catch exactly that trade.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from math import fsum, inf, sqrt
+from functools import lru_cache, reduce
+from math import atan2, fsum, inf, sqrt
 from operator import add, mul
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import geometry_for, minkowski_polygon
+from .geometry import _hull2d, geometry_for
 from .measure import (
     Density,
     TOL_EXACT,
@@ -162,35 +162,56 @@ def weighted(profile: Profile, weights: WeightedAggregation) -> SwfResult:
 # swf1: Nash-bargaining weights
 
 
-def _max_product_polygon(verts: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    """Maximise x*y over a convex polygon given CCW vertices."""
-    cands = list(verts)
-    k = len(verts)
-    if k >= 2:
-        for t in range(k):
-            (x0, y0), (x1, y1) = verts[t], verts[(t + 1) % k]
-            dx, dy = x1 - x0, y1 - y0
-            if abs(dx) > 1e-15 and abs(dy) > 1e-15:
-                ts = -(dx * y0 + dy * x0) / (2.0 * dx * dy)
-                if 0.0 < ts < 1.0:
-                    cands.append((x0 + ts * dx, y0 + ts * dy))
-    def prod(p: tuple[float, float]) -> float:
-        return max(p[0], 0.0) * max(p[1], 0.0)
+def _pareto_walk(
+    masses: Sequence[Sequence[float]], utils: Sequence[Sequence[float]]
+) -> tuple[float, float]:
+    """Maximise x*y over the two-agent image, given both agents' segment
+    masses and outcome utilities.
 
-    best = max(cands, key=prod)
-    best_prod = prod(best)
-    for p in cands:
-        # Distinct near-tied maximisers mean the weights are not pinned
-        # down.  The product is quadratically flat around the tangency, so
-        # candidates within ~sqrt(prod tol) of the maximiser tie by noise;
-        # only far-apart ties (possible when the input is not a convex CCW
-        # polygon, never for a profile image) signal real degeneracy.
-        if prod(p) >= best_prod - 1e-9 * max(1.0, best_prod):
-            if max(abs(p[0] - best[0]), abs(p[1] - best[1])) > 1e-3:
-                raise DegenerateNashPoint(
-                    f"bargaining point is not unique: {best!r} vs {p!r}"
-                )
-    return best
+    The maximiser lies on the image's Pareto chain, its boundary from the
+    point of largest x counter-clockwise to the point of largest y.  As in
+    `minkowski_polygon`, the image is the sum over segments of the utility
+    points scaled by the segment's masses, so its chain is the sum of the
+    scaled chains of the utility hull: it starts at the sum of the
+    segments' largest-x points and takes all their edges in angle order.
+    A segment where an agent has zero mass collapses onto an axis, whose
+    only Pareto point is its corner (m1 * max u1, m2 * max u2).
+
+    The walk is exact: the chain is concave and the hyperbola xy = c is
+    convex, so the product is unimodal along the chain.  It rises along an
+    edge (ex, ey) from (x, y) while ex * y + ey * x > 0, so the walk stops
+    at the first vertex where that fails, or inside the edge where the
+    product peaks."""
+    u1, u2 = utils
+    hull = _hull2d(list(zip(u1, u2)))
+    first = hull.index(max(hull))
+    last = hull.index(max(hull, key=lambda p: (p[1], p[0])))
+    chain = [hull[(first + j) % len(hull)] for j in range((last - first) % len(hull) + 1)]
+    steps = [(qx - px, qy - py) for (px, py), (qx, qy) in zip(chain, chain[1:])]
+    (cx, cy), top1, top2 = chain[0], max(u1), max(u2)
+    x = y = 0.0
+    edges: list[tuple[float, float]] = []
+    for m1, m2 in zip(*masses):
+        if m1 > 0.0 and m2 > 0.0:
+            x += m1 * cx
+            y += m2 * cy
+            edges += [(m1 * ex, m2 * ey) for ex, ey in steps]
+        else:
+            x += m1 * top1
+            y += m2 * top2
+    edges.sort(key=lambda e: atan2(e[1], e[0]))
+    for ex, ey in edges:
+        rise = ex * y + ey * x
+        if rise <= 0.0:
+            break
+        # the product's slope along the edge falls by -2 ex ey per unit
+        bend = -2.0 * ex * ey
+        if rise < bend:
+            t = rise / bend
+            return x + t * ex, y + t * ey
+        x += ex
+        y += ey
+    return x, y
 
 
 def _canonical_order(profile: Profile) -> list[int]:
@@ -217,18 +238,19 @@ def _nash_point(profile: Profile) -> np.ndarray:
     if n == 1:
         hi = float(geom.tensor.max(axis=1).sum(axis=0)[0])
         return np.array([hi])
-    if n == 2:
-        x, y = _max_product_polygon(minkowski_polygon(geom))
-        return np.array([x, y])
     perm = _canonical_order(profile)
-    x_canon = _nash_frank_wolfe(np.ascontiguousarray(geom.tensor[:, :, perm]))
+    if n == 2:
+        x_canon = _pareto_walk(geom.masses[perm].tolist(), geom.utils[perm].tolist())
+    else:
+        x_canon = _nash_frank_wolfe(np.ascontiguousarray(geom.tensor[:, :, perm]))
     out = np.empty(n)
     out[perm] = x_canon
     return out
 
 
 # Rounds of the fully corrective loop before the solve gives up; each
-# round adds one vertex, and criterion 5's 7321 solves need at most ten.
+# round adds one vertex.  Criterion 5's 7320 solves take 2.2 rounds and
+# 10.9 Newton steps on average, and at most 9 rounds and 73 steps.
 _NASH_ROUNDS = 100
 # Newton steps per round on the hull of the kept vertices.
 _NEWTON_STEPS = 60
@@ -321,9 +343,12 @@ def _nash_frank_wolfe(tensor: np.ndarray) -> np.ndarray:
     & Jaggi, NeurIPS 2015): maximise over the hull of the kept vertices by
     damped Newton steps on their weights, then ask the per-segment argmax
     oracle for the vertex that best improves the linearised objective.
-    The Frank-Wolfe gap bounds the log-product suboptimality; the point is
-    returned only once the gap is at most 1e-12 * n, and
-    `DegenerateNashPoint` is raised when the rounds run out first.
+    The first hull holds the oracle's answers for the all-ones direction
+    and for each agent alone, at most n + 1 vertices, rather than every
+    constant act.  The Frank-Wolfe gap bounds the log-product
+    suboptimality; the point is returned only once the gap is at most
+    1e-12 * n, and `DegenerateNashPoint` is raised when the rounds run out
+    first.
 
     The Newton loop runs on Python floats: at most a handful of vertices
     in a few dimensions, where numpy's per-call cost outweighs the
@@ -331,12 +356,18 @@ def _nash_frank_wolfe(tensor: np.ndarray) -> np.ndarray:
     which compensates from Python 3.12 on and would make the point depend
     on the interpreter.
     """
-    S, X, n = tensor.shape
+    S, _, n = tensor.shape
     seg = np.arange(S)
-    # The constant acts: every utility peaks at 1, so their barycentre is
-    # strictly positive.
-    verts = tensor.sum(axis=0).tolist()
-    lam = [1.0 / X] * X
+    # The oracle's vertices for the all-ones direction and each coordinate
+    # direction, at equal weights.  The one for e_i gives agent i its
+    # largest expected utility, which is positive, and no vertex has a
+    # negative coordinate, so their barycentre is strictly positive.
+    picks = (tensor @ np.vstack([np.ones(n), np.eye(n)]).T).argmax(axis=1)  # (S, n + 1)
+    verts: list[list[float]] = []
+    for v in tensor[seg[:, None], picks, :].sum(axis=0).tolist():
+        if v not in verts:
+            verts.append(v)
+    lam = [1.0 / len(verts)] * len(verts)
     for _ in range(_NASH_ROUNDS):
         for _ in range(_NEWTON_STEPS):
             # With verts[0] taking the remaining weight, the Newton step on
@@ -541,8 +572,10 @@ def ramp_utility(space) -> Utility:
     return Utility({lab: k / (n - 1) for k, lab in enumerate(space.labels)})
 
 
+@lru_cache(maxsize=None)
 def default_anchor(space) -> Preference:
-    """Canonical anchor/phantom preference: uniform belief, ramp utility."""
+    """Canonical anchor/phantom preference: uniform belief, ramp utility.
+    Built once per outcome space and shared; a `Preference` is immutable."""
     return Preference(Density.uniform(), ramp_utility(space))
 
 

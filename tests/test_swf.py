@@ -6,6 +6,7 @@ import builtins
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,12 +38,12 @@ from baru import (
 )
 from baru import swf as swf_module
 from baru.axioms import continuity_probe
-from baru.geometry import direction_set, geometry_for, support_values
+from baru.geometry import ProfileGeometry, direction_set, geometry_for, minkowski_polygon
 from baru.swf import (
     PHANTOM_ID,
     _canonical_order,
-    _max_product_polygon,
     _nash_point,
+    _pareto_walk,
     ramp_utility,
 )
 from baru.harness import AXIOM_SPECS, child_seed, random_profile
@@ -193,14 +194,23 @@ def test_swf5_custom_alpha_proportional_matches_baru(table1):
 
 
 def _assert_nash_certified(profile, x):
-    """Solver-independent certificate: x lies in the image, and no image
-    point improves the linearised log-product at x (h(1/x) <= 1/x . x = n)."""
-    geom = geometry_for(profile)
-    n = geom.dimension
+    _assert_tensor_certified(geometry_for(profile).tensor, x)
+
+
+def _assert_tensor_certified(tensor, x):
+    """Solver-independent certificate: x lies in the image of the (S, X, n)
+    contribution tensor, and no image point improves the linearised
+    log-product at x (h(1/x) <= 1/x . x = n), for the support function
+    h(c) = sum over segments of max over outcomes of c . tensor[s, x]."""
+    n = tensor.shape[2]
+
+    def support(dirs):
+        return (tensor @ np.atleast_2d(dirs).T).max(axis=1).sum(axis=0)
+
     assert np.all(x > 0.0)
-    assert support_values(geom, 1.0 / x)[0] <= n * (1.0 + 1e-9)
+    assert support(1.0 / x)[0] <= n * (1.0 + 1e-9)
     dirs = direction_set(n)
-    assert np.all(dirs @ x <= support_values(geom, dirs) + 1e-9)
+    assert np.all(dirs @ x <= support(dirs) + 1e-9)
 
 
 def _simplex_profile():
@@ -261,15 +271,24 @@ def test_nash_point_certified_on_random_profiles(rng, n_agents):
 
 
 def test_nash_solver_raises_when_rounds_run_out(monkeypatch):
-    # Agent i likes outcome o_i and believes in state i.  One round keeps
-    # only the constant acts, whose hull tops out at 1/3 per agent, while
-    # the act giving each agent its outcome on its own state reaches 0.8:
-    # the solver must refuse rather than return the uncertified point.
+    # Agent i likes outcome o_i best, believes in state i with 0.8, 0.5 and
+    # 0.5, and values the shared outcome o4 at 0.5, 0.5 and 0.75.  The
+    # start's vertices, each agent's best act and the all-ones one, do not
+    # hold the bargaining point, which takes four rounds: cut to one, the
+    # solver must refuse rather than return the uncertified point.
     space = OutcomeSpace(("o1", "o2", "o3", "o4"))
+    own, shared = (0.8, 0.5, 0.5), (0.5, 0.5, 0.75)
     prefs = tuple(
         Preference(
-            Density.from_state_probs(tuple(0.8 if s == i else 0.1 for s in range(3))),
-            Utility({lab: float(lab == f"o{i + 1}") for lab in space.labels}),
+            Density.from_state_probs(
+                tuple(own[i] if s == i else (1.0 - own[i]) / 2.0 for s in range(3))
+            ),
+            Utility(
+                {
+                    lab: 1.0 if lab == f"o{i + 1}" else shared[i] if lab == "o4" else 0.0
+                    for lab in space.labels
+                }
+            ),
         )
         for i in range(3)
     )
@@ -280,13 +299,32 @@ def test_nash_solver_raises_when_rounds_run_out(monkeypatch):
         _nash_point(profile)
 
 
+def test_nash_start_holds_the_bargaining_act(monkeypatch):
+    # Agent i likes only outcome o_i and believes in state i with 0.8.  The
+    # start's all-ones vertex is the act giving each agent its outcome on
+    # its own state, 0.8 per agent and the bargaining point, so one round
+    # certifies it; the constant acts' hull tops out at 1/3 per agent.
+    space = OutcomeSpace(("o1", "o2", "o3", "o4"))
+    prefs = tuple(
+        Preference(
+            Density.from_state_probs(tuple(0.8 if s == i else 0.1 for s in range(3))),
+            Utility({lab: float(lab == f"o{i + 1}") for lab in space.labels}),
+        )
+        for i in range(3)
+    )
+    monkeypatch.setattr(swf_module, "_NASH_ROUNDS", 1)
+    point = _nash_point(Profile(space, prefs))
+    assert np.abs(point - 0.8).max() <= 1e-12
+
+
 def _nash_frank_wolfe_reference(tensor):
     """The solver with its Newton loop on numpy arrays, each step a
     `np.linalg.lstsq` fit; the reference for the Python-float loop."""
-    S, X, n = tensor.shape
+    S, _, n = tensor.shape
     seg = np.arange(S)
-    P = tensor.sum(axis=0)
-    lam = np.full(X, 1.0 / X)
+    starts = [tensor[seg, (tensor @ c).argmax(axis=1), :].sum(axis=0) for c in (np.ones(n), *np.eye(n))]
+    P = np.array(list(dict.fromkeys(map(tuple, starts))))
+    lam = np.full(len(P), 1.0 / len(P))
     for _ in range(swf_module._NASH_ROUNDS):
         for _ in range(swf_module._NEWTON_STEPS):
             D = (P[1:] - P[0]) / (P.T @ lam)
@@ -315,6 +353,30 @@ def _nash_frank_wolfe_reference(tensor):
     raise DegenerateNashPoint("reference ran out of rounds")
 
 
+def _collinear_start_tensors(rng):
+    """Tensors whose start vertices are three distinct collinear points.
+
+    Each segment holds a middle point c and c +- d, with the same
+    direction d in every segment and sum(d) = 0, all on the 1/8 lattice so
+    that the sums are exact.  The all-ones direction ties over each
+    segment and picks the middle, listed first.  e_i picks an end when
+    d_i != 0, and both ends occur because sum(d) = 0, so the first hull is
+    a line and every D is rank-deficient until a vertex leaves."""
+    tensors = [np.array([[[0.5, 0.5, 1.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]])]
+    while len(tensors) < 12:
+        n = 3 + len(tensors) % 2
+        d = [rng.randint(-4, 4) / 8 for _ in range(n - 1)]
+        d.append(-math.fsum(d))
+        if not d[-1] or abs(d[-1]) > 1.0:
+            continue
+        segs = []
+        for _ in range(1 + len(tensors) % 3):
+            c = [rng.randint(8, 16) / 8 for _ in range(n)]
+            segs.append([c, [a + b for a, b in zip(c, d)], [a - b for a, b in zip(c, d)]])
+        tensors.append(np.array(segs))
+    return tensors
+
+
 def test_nash_frank_wolfe_matches_lstsq_reference(rng, monkeypatch):
     profiles = [
         random_profile(rng, space=SPACE, n_agents=n, n_concerned=n) for n in (3, 4) for _ in range(150)
@@ -322,6 +384,7 @@ def test_nash_frank_wolfe_matches_lstsq_reference(rng, monkeypatch):
     profiles += [_twin_profile(rng, n) for n in (3, 4) for _ in range(30)]
     for trial in (56, 65, 75):
         profiles += [profile for profile, _ in _continuity_solves(monkeypatch, trial)]
+    crafted = _collinear_start_tensors(rng)
     deficient = 0
     newton_step = swf_module._newton_step
 
@@ -341,6 +404,12 @@ def test_nash_frank_wolfe_matches_lstsq_reference(rng, monkeypatch):
         want[perm] = _nash_frank_wolfe_reference(tensor)
         _assert_nash_certified(profile, got)
         _assert_nash_certified(profile, want)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    for tensor in crafted:
+        got = swf_module._nash_frank_wolfe(tensor)
+        want = _nash_frank_wolfe_reference(tensor)
+        _assert_tensor_certified(tensor, got)
+        _assert_tensor_certified(tensor, want)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert deficient >= 20
 
@@ -419,6 +488,8 @@ def test_swf1_permutation_exact_weights(rng):
         random_profile(rng, space=SPACE, n_agents=4, n_concerned=4),
         _twin_profile(rng, 3),
     ]
+    # two concerned agents: the Pareto walk runs in canonical order too
+    profiles += [random_profile(rng, space=SPACE, n_agents=3, n_concerned=2) for _ in range(8)]
     for profile in profiles:
         base = dict(swf1(profile).utility_weights)
         prefs = profile.agents
@@ -426,27 +497,129 @@ def test_swf1_permutation_exact_weights(rng):
             shuffled = Profile(SPACE, tuple(prefs[p] for p in perm))
             got = dict(swf1(shuffled).utility_weights)
             for new_pos, old_pos in enumerate(perm):
-                assert got[new_pos] == base[old_pos]  # bit-identical
+                assert got.get(new_pos) == base.get(old_pos)  # bit-identical
 
 
-def test_max_product_polygon_square():
-    assert _max_product_polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))) == (
-        1.0,
-        1.0,
-    )
+def test_pareto_walk_square():
+    # the unit square's corners: (1, 1) is the only Pareto point
+    assert _pareto_walk([[1.0], [1.0]], [[0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]]) == (1.0, 1.0)
 
 
-def test_max_product_polygon_edge_interior():
+def test_pareto_walk_edge_interior():
     # triangle face x + y = 1: the product peaks mid-edge
-    x, y = _max_product_polygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+    x, y = _pareto_walk([[1.0], [1.0]], [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     assert (x, y) == pytest.approx((0.5, 0.5), abs=1e-12)
 
 
-def test_max_product_polygon_tie_raises():
-    # synthetic tied maximizers (no convex image of normalized utilities
-    # can produce this; the guard protects against malformed input)
-    with pytest.raises(DegenerateNashPoint):
-        _max_product_polygon(((1.0, 0.5), (1.0, 0.0), (0.5, 1.0), (0.0, 1.0)))
+def _max_product_polygon_reference(verts):
+    """The product's maximum over a convex CCW polygon, from every vertex
+    and every edge's interior peak; with `minkowski_polygon` it was the
+    two-agent route before the Pareto walk."""
+    cands = list(verts)
+    for (x0, y0), (x1, y1) in zip(verts, verts[1:] + verts[:1]):
+        dx, dy = x1 - x0, y1 - y0
+        if abs(dx) > 1e-15 and abs(dy) > 1e-15:
+            ts = -(dx * y0 + dy * x0) / (2.0 * dx * dy)
+            if 0.0 < ts < 1.0:
+                cands.append((x0 + ts * dx, y0 + ts * dy))
+    return max(cands, key=lambda p: max(p[0], 0.0) * max(p[1], 0.0))
+
+
+def _pareto_walk_exact(masses, utils):
+    """The Pareto walk in rationals, on the exact hull of the float
+    inputs; it rounds once, at the end."""
+    pts = sorted(set(zip(map(Fraction, utils[0]), map(Fraction, utils[1]))))
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1]) <= (
+                out[-1][1] - out[-2][1]
+            ) * (p[0] - out[-2][0]):
+                out.pop()
+            out.append(p)
+        return out
+
+    hull = pts if len(pts) <= 2 else half(pts)[:-1] + half(pts[::-1])[:-1]
+    first = hull.index(max(hull))
+    last = hull.index(max(hull, key=lambda p: (p[1], p[0])))
+    chain = [hull[(first + j) % len(hull)] for j in range((last - first) % len(hull) + 1)]
+    x = y = Fraction(0)
+    edges = []
+    for m1, m2 in zip(map(Fraction, masses[0]), map(Fraction, masses[1])):
+        if m1 > 0 and m2 > 0:
+            x, y = x + m1 * chain[0][0], y + m2 * chain[0][1]
+            edges += [(m1 * (q[0] - p[0]), m2 * (q[1] - p[1])) for p, q in zip(chain, chain[1:])]
+        else:
+            x, y = x + m1 * max(map(Fraction, utils[0])), y + m2 * max(map(Fraction, utils[1]))
+    # every chain edge points up and to the left: angle order is slope order
+    edges.sort(key=lambda e: e[1] / e[0])
+    for ex, ey in edges:
+        rise = ex * y + ey * x
+        if rise <= 0:
+            break
+        if rise < -2 * ex * ey:
+            t = rise / (-2 * ex * ey)
+            x, y = x + t * ex, y + t * ey
+            break
+        x, y = x + ex, y + ey
+    return float(x), float(y)
+
+
+def test_pareto_walk_matches_polygon_route():
+    rng = random.Random(20240810)
+    seen = dict.fromkeys(
+        ("one-zero", "both-zero", "duplicate", "collinear", "lattice", "single-vertex"), 0
+    )
+    trials = 0
+    while trials < 2400:
+        S, X = rng.randint(1, 7), rng.randint(2, 7)
+        kind = ("random", "duplicate", "lattice", "thirds", "single")[trials % 5]
+        if kind == "lattice":
+            utils = [[rng.randint(0, 4) / 4 for _ in range(X)] for _ in range(2)]
+        elif kind == "thirds":
+            # collinear in exact arithmetic, off by rounding in floats
+            ramp = [x / (X - 1) for x in range(X)]
+            utils = [ramp, ramp[::-1] if rng.random() < 0.5 else [rng.random() for _ in range(X)]]
+        else:
+            utils = [[rng.random() for _ in range(X)] for _ in range(2)]
+        if kind == "duplicate":
+            for _ in range(rng.randint(1, X)):
+                i, j = rng.randrange(X), rng.randrange(X)
+                utils[0][i], utils[1][i] = utils[0][j], utils[1][j]
+        if kind == "single":
+            # one point beats every other in both coordinates
+            k = rng.randrange(X)
+            utils[0][k], utils[1][k] = max(utils[0]) + 0.25, max(utils[1]) + 0.25
+        masses = [[rng.random() for _ in range(S)] for _ in range(2)]
+        if trials % 3 == 0:
+            for s in range(S):
+                r = rng.random()
+                if r < 0.5:
+                    masses[rng.randrange(2)][s] = 0.0
+                elif r < 0.7:
+                    masses[0][s] = masses[1][s] = 0.0
+        if min(max(masses[0]), max(masses[1]), max(utils[0]), max(utils[1])) <= 0.0:
+            continue  # the product is zero everywhere, as for no profile
+        trials += 1
+        m, u = np.array(masses), np.array(utils)
+        geom = ProfileGeometry(
+            (0, 1), tuple(f"o{x}" for x in range(X)), tuple(np.linspace(0.0, 1.0, S + 1)),
+            m, u, m.T[:, None, :] * u.T[None, :, :],
+        )
+        want = np.array(_max_product_polygon_reference(list(minkowski_polygon(geom))))
+        got = np.array(_pareto_walk(masses, utils))
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        exact = np.array(_pareto_walk_exact(masses, utils))
+        assert np.abs(got - exact).max() <= 1e-15 * np.abs(exact).max()
+        zeros = [(m1 == 0.0) + (m2 == 0.0) for m1, m2 in zip(*masses)]
+        seen["one-zero"] += 1 in zeros
+        seen["both-zero"] += 2 in zeros
+        seen["duplicate"] += len(set(zip(*utils))) < X
+        seen["collinear"] += kind == "thirds"
+        seen["lattice"] += kind == "lattice"
+        seen["single-vertex"] += kind == "single"
+    assert min(seen.values()) >= 200, seen
 
 
 def test_geometric_pool_concentrates_on_shared_support():
@@ -480,3 +653,11 @@ def test_ramp_and_default_anchor():
     anchor = default_anchor(SPACE)
     assert not anchor.is_indifferent
     assert anchor.belief.values == (1.0,)
+
+
+def test_default_anchor_built_once_per_space(table1):
+    assert default_anchor(OutcomeSpace(SPACE.labels)) is default_anchor(SPACE)
+    profile, _, _ = table1
+    fresh = Preference(Density.uniform(), ramp_utility(profile.space))
+    for name, rule in (("swf2", swf2), ("swf3", swf3)):
+        assert rule_by_name(name)(profile) == rule(profile, fresh)
