@@ -118,7 +118,9 @@ class CoRedundancyCertificate:
     largest gap over `directions` probing directions only.  `directions`
     is 0 when the two images were shown equal without probing any
     direction (two agents, identity coarsening, the outcome hull spanned
-    by the subset); `residual` is then 0.0, exact in exact arithmetic."""
+    by the subset); `residual` is then 0.0, though an off-subset outcome
+    at a turn the hull takes as straight (sine at most 1e-14,
+    `geometry._hull2d`) may lie just outside it, unmeasured."""
 
     coarsening: Coarsening
     outcomes: tuple[str, ...]
@@ -158,6 +160,12 @@ def _exact_support_gap(
     coefficients summing to at most 1/cos(phi/2), which bounds the gap
     there by the larger end gap over cos(phi/2).
 
+    The kink directions come from hulls that take turns of sine at most
+    1e-14 as straight (`geometry._hull2d`).  A vertex dropped that way
+    bends the support function inside a cone about 1e-14 rad wide around
+    the normal of the chord that replaced it.  The gap at that normal is
+    measured, but the bound does not cover the cone.
+
     Returns the unit directions, the absolute gaps there, and the bound."""
     raw = np.concatenate((kink_directions(full), kink_directions(restricted), _AXES_2D))
     norms = np.hypot(raw[:, 0], raw[:, 1])
@@ -191,7 +199,9 @@ def certify_coredundancy(
     over Minkowski summands and each restricted term is at most its full
     term, so when every vertex of conv(U) is a subset outcome's point the
     images are equal.  Otherwise the kink directions decide, and give a
-    refusal its direction."""
+    refusal its direction.  conv(U) is `geometry._hull2d`'s hull, which
+    takes turns of sine at most 1e-14 as straight, so an outcome at such a
+    turn does not stop the certificate though it may lie just outside."""
     outs = tuple(outcomes)
     if not outs:
         raise ValueError("outcome subset must be non-empty")
@@ -211,7 +221,7 @@ def certify_coredundancy(
         u, v = (profile.agents[i].utility for i in ids)
         points = [(u.value(lab), v.value(lab)) for lab in profile.space.labels]
         kept = {(u.value(lab), v.value(lab)) for lab in outs}
-        if all(p in kept for p in _hull2d(points, tol=0.0)):
+        if all(p in kept for p in _hull2d(points)):
             return CoRedundancyCertificate(q, outs, tuple(push), 0.0, "exact", 0)
     full = geometry_for(profile)
     restricted = geometry_for(profile, q, outs, dict(push))

@@ -131,21 +131,20 @@ def support_values(geom: ProfileGeometry, directions: np.ndarray) -> np.ndarray:
 
 
 def kink_directions(geom: ProfileGeometry) -> np.ndarray:
-    """Outward normals (not normalized; zero where a segment's hull edge
-    collapses) of every edge of every segment's point hull.  A two-agent
-    support function is linear between consecutive such directions.
-
-    Segment s's points are the utility points scaled by diag(masses[:, s]);
-    a positive diagonal scaling keeps the hull's edges, so the hull of the
-    utility points gives them all: the edge e becomes (m1 e1, m2 e2), with
-    outward normal (m2 e2, -m1 e1).  A zero mass collapses the hull onto an
-    axis, whose normals are the coordinate directions."""
+    """Outward normals (m2 ey, -m1 ex), not normalized, of the edges
+    (m1 ex, m2 ey) of every segment's hull (`segment_hulls`).  A two-agent
+    support function is linear between consecutive such directions, except
+    inside the thin cones of the turns `_hull2d` takes as straight.  A
+    segment where one agent has zero mass gives only coordinate directions,
+    and one that collapses to a point gives none, so no row is zero."""
     if geom.dimension != 2:
         raise ValueError("kink directions only at dimension 2")
-    hull = _hull2d(geom.utils.T.tolist(), tol=0.0)
-    edges = np.array(hull[1:] + hull[:1]) - hull  # (h, 2), counter-clockwise
-    turned = edges[:, ::-1] * (1.0, -1.0)  # (e2, -e1)
-    return (geom.masses[::-1].T[:, None, :] * turned).reshape(-1, 2)
+    masses = geom.masses.tolist()
+    cells = segment_hulls(masses, geom.utils.tolist())
+    # flat floats: numpy converts them faster than a list of pairs
+    rows = [c for m1, m2, (_, steps) in zip(*masses, cells)
+            for ex, ey in steps for c in (m2 * ey, -(m1 * ex))]
+    return np.array(rows, dtype=float).reshape(-1, 2)
 
 
 def _argmax_choices(geom: ProfileGeometry, direction: np.ndarray) -> np.ndarray:
@@ -177,12 +176,19 @@ def attained_points(geom: ProfileGeometry, directions: np.ndarray) -> np.ndarray
 # exact two-dimensional geometry
 
 
-def _hull2d(
-    points: Sequence[tuple[float, float]], tol: float = 1e-14
-) -> list[tuple[float, float]]:
-    """Convex hull, counter-clockwise, collinear points dropped (turns
-    whose cross product is at most `tol`)."""
-    pts = sorted(set((float(x), float(y)) for x, y in points))
+# `_hull2d` takes a turn o -> a -> p as straight, and drops a, when its sine
+# is at most this: cross(a - o, p - o) <= _HULL_SINE * |a - o| * |p - o|.
+# Unlike a bound on the cross product alone, this does not depend on scale.
+_HULL_SINE = 1e-14
+
+
+def _hull2d(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Convex hull, counter-clockwise from the lowest leftmost point, with
+    duplicates and straight turns dropped.  A dropped point a may lie up to
+    _HULL_SINE * |a - o| outside the chord o -> p that replaced it, so the
+    hull is exact only up to such thin turns; drops can chain, and no
+    bound on their total is claimed."""
+    pts = sorted({(float(x), float(y)) for x, y in points})
     if len(pts) <= 2:
         return pts
     def half(seq):
@@ -191,7 +197,9 @@ def _hull2d(
             while len(out) >= 2:
                 ox, oy = out[-2]
                 ax, ay = out[-1]
-                if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) <= tol:
+                ux, uy, vx, vy = ax - ox, ay - oy, p[0] - ox, p[1] - oy
+                cross = ux * vy - uy * vx
+                if cross <= 0.0 or cross <= _HULL_SINE * hypot(ux, uy) * hypot(vx, vy):
                     out.pop()
                 else:
                     break
@@ -202,48 +210,73 @@ def _hull2d(
     return lower[:-1] + upper[:-1]
 
 
-def minkowski_polygon(geom: ProfileGeometry) -> tuple[tuple[float, float], ...]:
-    """Exact vertex list (CCW) of the two-agent image polytope, formed by
-    chaining the sorted edges of the per-segment hulls.
+def _edges(verts: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Edge vectors of a closed CCW vertex list; none for a single point."""
+    if len(verts) < 2:
+        return []
+    return [(qx - px, qy - py) for (px, py), (qx, qy) in zip(verts, verts[1:] + verts[:1])]
 
-    As in `kink_directions`, segment s's points are the utility points
-    scaled by diag(masses[:, s]), the same products as tensor[s], and a
-    positive scaling maps the hull of the utility points onto the
-    segment's hull.  So the utility points are hulled once and that hull
-    is scaled per segment.  A segment where an agent has zero mass
-    collapses onto an axis, where its hull is the segment between the
-    scaled lowest and highest utility points, or a single point.
+
+def segment_hulls(
+    masses: Sequence[Sequence[float]], utils: Sequence[Sequence[float]]
+) -> list[tuple[list[tuple[float, float]], list[tuple[float, float]]]]:
+    """Per segment, the unscaled CCW vertices and edges (verts, steps) of
+    its hull, given both agents' segment masses and outcome utilities:
+    segment s's hull is `verts` scaled by diag(m1, m2), with edges
+    (m1 ex, m2 ey) for (ex, ey) in `steps`.  The two-agent image is the
+    Minkowski sum of these hulls.  Callers scale only what they use.
+
+    Segment s's points are the utility points scaled by diag(m1, m2), as in
+    `ProfileGeometry.tensor[s]`.  A positive scaling maps the utility
+    points' hull onto the segment's, so the utility points are hulled once
+    and every segment with positive masses shares that one (verts, steps)
+    pair.  Where an agent has zero mass the segment's points collapse onto
+    an axis: its hull runs from the lowest utility point (min u1, min u2)
+    to the highest (max u1, max u2), or is the highest alone where the two
+    scale to the same point."""
+    u1, u2 = utils
+    hull = _hull2d(list(zip(u1, u2)))
+    full = (hull, _edges(hull))
+    cells = []
+    for m1, m2 in zip(*masses):
+        if m1 > 0.0 and m2 > 0.0:
+            cells.append(full)
+        else:
+            lo, hi = (min(u1), min(u2)), (max(u1), max(u2))
+            ends = [lo, hi] if (m1 * lo[0], m2 * lo[1]) != (m1 * hi[0], m2 * hi[1]) else [hi]
+            cells.append((ends, _edges(ends)))
+    return cells
+
+
+def minkowski_polygon(geom: ProfileGeometry) -> tuple[tuple[float, float], ...]:
+    """Vertex list (CCW) of the two-agent image polytope, formed by chaining
+    the sorted edges of the per-segment hulls (`segment_hulls`) from the sum
+    of their lowest vertices.  The edges are the differences of each hull's
+    scaled vertices, as a hull of the segment's own points would give them,
+    so the polygon's bits match hulling each segment on its own.  It is
+    exact up to that rounding and the thin turns `_hull2d` takes as
+    straight.
 
     `image_polytope` uses the whole polygon.  swf1's bargaining point does
     not: it walks only the Pareto chain (`swf._pareto_walk`)."""
     if geom.dimension != 2:
         raise ValueError("exact polygon only at dimension 2")
-    u1, u2 = geom.utils.tolist()
-    uhull = _hull2d(list(zip(u1, u2)))
-    ends = ((min(u1), min(u2)), (max(u1), max(u2)))
     sx = sy = 0.0
     edges: list[tuple[float, float]] = []
-    for m1, m2 in zip(*geom.masses.tolist()):
-        if m1 > 0.0 and m2 > 0.0:
-            cell = [(m1 * a, m2 * b) for a, b in uhull]
-        else:
-            cell = _hull2d([(m1 * a, m2 * b) for a, b in ends])
+    masses = geom.masses.tolist()
+    for m1, m2, (verts, _) in zip(*masses, segment_hulls(masses, geom.utils.tolist())):
+        cell = [(m1 * a, m2 * b) for a, b in verts]
         ax, ay = min(cell, key=lambda p: (p[1], p[0]))
         sx += ax
         sy += ay
-        if len(cell) >= 2:
-            for (px, py), (qx, qy) in zip(cell, cell[1:] + cell[:1]):
-                edges.append((qx - px, qy - py))
-    if not edges:
-        return ((sx, sy),)
+        edges += _edges(cell)
     edges.sort(key=lambda e: atan2(e[1], e[0]) % (2.0 * pi))
     walk = [(sx, sy)]
     for ex, ey in edges[:-1]:
         walk.append((walk[-1][0] + ex, walk[-1][1] + ey))
     # Parallel edges from different segments land as collinear runs; a hull
     # pass collapses them and dedupes coincident points.
-    hull = _hull2d(walk)
-    return tuple(hull) if hull else (walk[0],)
+    return tuple(_hull2d(walk))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import _hull2d, geometry_for
+from .geometry import geometry_for, segment_hulls
 from .measure import (
     Density,
     TOL_EXACT,
@@ -169,36 +169,28 @@ def _pareto_walk(
     masses and outcome utilities.
 
     The maximiser lies on the image's Pareto chain, its boundary from the
-    point of largest x counter-clockwise to the point of largest y.  As in
-    `minkowski_polygon`, the image is the sum over segments of the utility
-    points scaled by the segment's masses, so its chain is the sum of the
-    scaled chains of the utility hull: it starts at the sum of the
-    segments' largest-x points and takes all their edges in angle order.
-    A segment where an agent has zero mass collapses onto an axis, whose
-    only Pareto point is its corner (m1 * max u1, m2 * max u2).
+    point of largest x counter-clockwise to the point of largest y.  The
+    image is the sum of the segments' hulls (`geometry.segment_hulls`), so
+    its chain is the sum of their chains: it starts at the sum of the
+    hulls' largest-x vertices and takes, in angle order, all their edges
+    that point up and to the left (ex < 0 < ey).  Both are picked on the
+    unscaled hull, where they agree; scaling can round two vertices' x
+    together.  A segment where an agent has zero mass collapses onto an
+    axis and has no such edge; its only Pareto point is its corner
+    (m1 * max u1, m2 * max u2).
 
     The walk is exact: the chain is concave and the hyperbola xy = c is
     convex, so the product is unimodal along the chain.  It rises along an
     edge (ex, ey) from (x, y) while ex * y + ey * x > 0, so the walk stops
     at the first vertex where that fails, or inside the edge where the
     product peaks."""
-    u1, u2 = utils
-    hull = _hull2d(list(zip(u1, u2)))
-    first = hull.index(max(hull))
-    last = hull.index(max(hull, key=lambda p: (p[1], p[0])))
-    chain = [hull[(first + j) % len(hull)] for j in range((last - first) % len(hull) + 1)]
-    steps = [(qx - px, qy - py) for (px, py), (qx, qy) in zip(chain, chain[1:])]
-    (cx, cy), top1, top2 = chain[0], max(u1), max(u2)
     x = y = 0.0
     edges: list[tuple[float, float]] = []
-    for m1, m2 in zip(*masses):
-        if m1 > 0.0 and m2 > 0.0:
-            x += m1 * cx
-            y += m2 * cy
-            edges += [(m1 * ex, m2 * ey) for ex, ey in steps]
-        else:
-            x += m1 * top1
-            y += m2 * top2
+    for m1, m2, (verts, steps) in zip(*masses, segment_hulls(masses, utils)):
+        cx, cy = max(verts)
+        x += m1 * cx
+        y += m2 * cy
+        edges += [(m1 * ex, m2 * ey) for ex, ey in steps if ex < 0.0 < ey]
     edges.sort(key=lambda e: atan2(e[1], e[0]))
     for ex, ey in edges:
         rise = ex * y + ey * x

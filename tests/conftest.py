@@ -51,3 +51,24 @@ def thin_gap():
     u2 = Utility({"a": 0.0, "b": 0.2, "c": 1.0, "d": 0.6 + delta * n[1]})
     profile = Profile(space, (Preference(uniform, u1), Preference(uniform, u2), INDIFFERENT))
     return profile, n, delta
+
+
+@pytest.fixture
+def thin_pair():
+    """Two uniform-belief agents whose outcome c makes a thin turn: the
+    hull's turn v -> c -> a has a cross product of 5e-15, below 1e-14, but
+    a sine of 0.02.  c lies 4.5e-7 outside the hull of o, p, a and v, and
+    it is the image's Nash point."""
+    space = OutcomeSpace(("o", "p", "a", "c", "v"))
+    uniform = Density((0.0, 1.0), (1.0,))
+    points = {
+        "o": (0.0, 0.0),
+        "p": (0.0, 1.0),
+        "a": (1.0 - 5e-9, 0.5),
+        "c": (1.0 - 5e-9, 0.5 + 1e-6),
+        "v": (1.0, 0.5 + 5e-7),
+    }
+    u1 = Utility({lab: x for lab, (x, _) in points.items()})
+    u2 = Utility({lab: y for lab, (_, y) in points.items()})
+    profile = Profile(space, (Preference(uniform, u1), Preference(uniform, u2), INDIFFERENT))
+    return profile, points

@@ -5,7 +5,9 @@ randomized batteries (criteria 5 and 6) run at full scale here, so this
 module dominates the suite's runtime.
 """
 
+import hashlib
 import itertools
+import json
 import random
 import time
 from math import fsum
@@ -51,10 +53,23 @@ from baru.harness import (
     random_profile,
     random_space,
     random_utility,
+    rerun_witness,
     run_axiom_battery,
 )
+from baru.swf import rule_by_name
 
 SIX_RULES = ("swf1", "swf2", "swf3", "swf4", "swf5", "swf6")
+
+# The contract's bits: criterion 5's matrix report, the replays of its seven
+# witnesses, and criterion 6's seven verdicts.  A change that moves one on
+# purpose records the old and new digests, and why, in CHANGES.md.
+MATRIX_SHA256 = "14bbf1c9d1cc20f8f6a84fa67db775b5bd5e591ed2f67cfbde60886289896f78"
+REPLAYS_SHA256 = "4404e3fb42d88b71572a57db83047944325022885010a305d63fa1060ee8d0e2"
+VERDICTS_SHA256 = "340496f5c50448aa3ea0db042b654b2f0126e62409201b356b6f6096e2e92234"
+
+
+def _digest(data) -> str:
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
 
 
 def test_criterion_1_table1_expected_utilities(table1):
@@ -131,6 +146,17 @@ def test_criterion_5_independence_matrix():
                 assert v["verdict"] == "satisfied-on-sample"
     assert report["seed"] == 20240801 and report["trials"] == 10001
     assert elapsed < 300.0
+    assert _digest(report) == MATRIX_SHA256, "the matrix report's bits moved"
+
+    replays = []
+    for name in SIX_RULES:
+        for axiom, v in report["rules"][name].items():
+            if v["verdict"] == "violated":
+                replay = rerun_witness(rule_by_name(name), v["witness"])
+                assert not replay.satisfied, f"{name} {axiom}: the witness no longer replays"
+                replays.append(replay.as_dict())
+    assert len(replays) == 7
+    assert _digest(replays) == REPLAYS_SHA256, "the witness replays' bits moved"
 
 
 def _completed(verdict) -> int:
@@ -140,16 +166,20 @@ def _completed(verdict) -> int:
 
 def test_criterion_6_baru_axiom_suite():
     t0 = time.perf_counter()
+    verdicts = []
     for axiom in MATRIX_AXIOMS:
         v = run_axiom_battery(baru, axiom, 11000, child_seed(20240801, f"baru:{axiom}", 0))
         assert v.satisfied, f"{axiom}: {v.witness}"
         assert v.as_dict()["verdict"] == "satisfied-on-sample"
         assert _completed(v) >= 10000
+        verdicts.append(v.as_dict())
     pareto = run_axiom_battery(
         baru, "restricted-pareto", 12000, child_seed(20240801, "baru:restricted-pareto", 0)
     )
     assert pareto.satisfied and _completed(pareto) >= 10000
     assert time.perf_counter() - t0 < 300.0
+    verdicts.append(pareto.as_dict())
+    assert _digest(verdicts) == VERDICTS_SHA256, "the baru suite's verdicts' bits moved"
 
 
 def _density_up_to(rng: random.Random, max_pieces: int = 20) -> Density:

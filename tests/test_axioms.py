@@ -266,6 +266,16 @@ def test_certify_refuses_thin_gap(thin_gap):
     assert _support_gap(profile, q, ("a", "b", "c"), direction[None, :])[0] > 1e-9
 
 
+def test_certify_refuses_thin_turn_outcome(thin_pair):
+    # c is a hull vertex by its sine, though an absolute 1e-14 cross-product
+    # test would drop it; the kink path then measures its gap
+    profile, _ = thin_pair
+    out = certify_coredundancy(profile, Coarsening.identity(), ("o", "p", "a", "v"))
+    assert isinstance(out, Refused)
+    assert out.reason == "image-mismatch"
+    assert out.residual == pytest.approx(5.2e-7, rel=0.05)
+
+
 def test_certify_reports_method_and_directions(table1, rng):
     profile, _, _ = table1
     cert = certify_coredundancy(profile, Coarsening.identity(), profile.space.labels)

@@ -28,6 +28,7 @@ from baru.geometry import (
     attaining_act,
     direction_set,
     geometry_for,
+    kink_directions,
     minkowski_polygon,
     support_values,
 )
@@ -191,6 +192,35 @@ def test_minkowski_polygon_matches_per_segment_hulls():
         seen["duplicate"] += len(set(zip(*utils))) < X
         seen["lattice"] += kind == "lattice"
     assert min(seen.values()) >= 200, seen
+
+
+def test_image_polytope_contains_thin_turn_outcome(thin_pair):
+    # the turn at c has a cross product of 5e-15; an absolute 1e-14 hull
+    # tolerance would drop c, which lies 4.5e-7 outside the rest
+    profile, points = thin_pair
+    poly = image_polytope(profile)
+    assert poly.contains(points["c"])
+    assert points["c"] in poly.vertices
+
+
+def test_kink_directions_zero_mass_rule():
+    utils = [[0.0, 1.0, 0.3, 0.7], [0.0, 0.2, 1.0, 0.9]]
+    for m1, m2 in ((0.0, 0.6), (0.4, 0.0)):
+        rows = kink_directions(_two_agent_geometry([[m1], [m2]], utils))
+        assert len(rows) == 2
+        assert all((x == 0.0) != (y == 0.0) for x, y in rows.tolist())
+    assert kink_directions(_two_agent_geometry([[0.0], [0.0]], utils)).shape == (0, 2)
+    # only agent 2's utility is flat: with agent 1's mass zero the segment
+    # collapses to a point
+    flat = [[0.0, 1.0, 0.5], [0.5, 0.5, 0.5]]
+    assert kink_directions(_two_agent_geometry([[0.7], [0.0]], flat)).shape == (2, 2)
+    assert kink_directions(_two_agent_geometry([[0.0], [0.7]], flat)).shape == (0, 2)
+    rng = random.Random(20240811)
+    for _ in range(200):
+        S = rng.randint(1, 6)
+        masses = [[rng.choice((0.0, rng.random())) for _ in range(S)] for _ in range(2)]
+        rows = kink_directions(_two_agent_geometry(masses, utils))
+        assert not any(x == 0.0 and y == 0.0 for x, y in rows.tolist())
 
 
 def test_image_polytope_keeps_thin_cone_vertex(thin_gap):

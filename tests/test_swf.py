@@ -475,6 +475,16 @@ def test_nash_point_two_agents_exact(table1):
     assert w[1] == pytest.approx(x, abs=1e-12)
 
 
+def test_nash_point_reaches_thin_turn_outcome(thin_pair):
+    # the Pareto chain runs v -> c -> p; dropping c's thin turn would leave
+    # v, whose product 0.5000005 is below c's 0.5000009975
+    profile, points = thin_pair
+    x, y = _nash_point(profile)
+    cx, cy = points["c"]
+    assert x * y >= cx * cy
+    assert x * y == pytest.approx(0.5000009975, abs=1e-14)
+
+
 def _twin_profile(rng, n_agents):
     """Agents 0 and 1 share one preference; the rest are drawn freely."""
     drawn = random_profile(rng, space=SPACE, n_agents=3, n_concerned=n_agents - 1)
@@ -509,6 +519,18 @@ def test_pareto_walk_edge_interior():
     # triangle face x + y = 1: the product peaks mid-edge
     x, y = _pareto_walk([[1.0], [1.0]], [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     assert (x, y) == pytest.approx((0.5, 0.5), abs=1e-12)
+
+
+def test_pareto_walk_start_matches_chain_when_scaled_x_collide():
+    # two hull vertices one ulp apart in x scale to the same x; the walk
+    # must still start where its chain starts, not on the vertex above,
+    # or it takes the edge between them twice and leaves the image
+    u1, u2 = [0.0, 0.9, 0.9 - 2.0**-53], [0.0, 0.0, 1.0]
+    m1 = 0.011
+    assert m1 * u1[1] == m1 * u1[2]
+    x, y = _pareto_walk([[m1], [1.0]], [u1, u2])
+    assert y == 1.0
+    assert x == m1 * u1[1] + m1 * (u1[2] - u1[1])
 
 
 def _max_product_polygon_reference(verts):
