@@ -270,13 +270,21 @@ def check_anonymity(swf: Swf, profile: Profile) -> AxiomVerdict:
     transposition of two agents.  Only the transpositions are applied, each
     to this one profile; that does not show invariance under every
     permutation of it, since invariance under generators at one profile
-    does not compose into invariance under their products."""
+    does not compose into invariance under their products.
+
+    A transposition of two equal preferences (two indifferent agents, say)
+    gives a profile equal to this one, on which a rule, a deterministic
+    function of its profile, gives this result again: it counts in
+    `trials` but the rule is not called."""
     base = swf(profile).preference
-    n = len(profile.agents)
+    agents = profile.agents
+    n = len(agents)
     trials = 0
     for i in range(n):
         for j in range(i + 1, n):
             trials += 1
+            if agents[i] == agents[j]:
+                continue
             swapped = swf(profile.swapped(i, j)).preference
             dist = preference_distance(base, swapped)
             if dist > TOL_MEASURE:

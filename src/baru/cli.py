@@ -362,6 +362,8 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_axiom_report(args) -> int:
+    if args.trials < 1:
+        raise _fail("--trials must be at least 1", trials=args.trials)
     if args.profile:
         profile, params = load_profile(args.profile)
         space = profile.space

@@ -112,9 +112,7 @@ def geometry_for(
         beliefs.append(d)
     bps = merged_breakpoints(beliefs)
     masses = np.array([segment_masses(d, bps) for d in beliefs])  # (n, S)
-    utils = np.array(
-        [[profile.agents[i].utility.value(lab) for lab in labs] for i in ids]
-    )  # (n, X)
+    utils = np.array([profile.agents[i].utility.values_of(labs) for i in ids])  # (n, X)
     tensor = masses.T[:, None, :] * utils.T[None, :, :]  # (S, X, n)
     return ProfileGeometry(ids, labs, bps, masses, utils, tensor)
 

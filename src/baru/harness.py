@@ -14,6 +14,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from math import fsum
+from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from .axioms import (
@@ -41,7 +42,7 @@ from .prefs import (
     compare,
     realize_lottery_act,
 )
-from .swf import RULE_NAMES, rule_by_name
+from .swf import RULE_NAMES, SwfResult, rule_by_name
 
 GRID = 16
 
@@ -381,15 +382,19 @@ def pareto_scenario(
         raise ScenarioRejected("no unanimous pair of constant acts")
     beliefs = [prof.agents[i].belief for i in ids]
     labs = prof.space.labels
-    star = max(labs, key=lambda lab: min(u.value(lab) for u in utils))
-    floor = min(u.value(star) for u in utils)
+    # each agent's utilities in label order, read once for every try below
+    rows = [u.values_of(labs) for u in utils]
+    lows = [min(col) for col in zip(*rows)]
+    floor = max(lows)
+    star = labs[lows.index(floor)]
     for _ in range(60):
         raw = [rng.uniform(0.05, 1.0) for _ in labs]
         tot = fsum(raw)
-        probs = {lab: v / tot for lab, v in zip(labs, raw)}
-        evs = [fsum(u.value(lab) * probs[lab] for lab in labs) for u in utils]
+        ps = [v / tot for v in raw]
+        evs = [fsum(map(mul, row, ps)) for row in rows]
         if floor < max(evs) + 0.05:
             continue
+        probs = dict(zip(labs, ps))
         t = rng.uniform(0.25, 0.75)
         lot_g = Lottery(probs, prof.space)
         lot_f = Lottery(
@@ -576,7 +581,10 @@ def _spec(axiom: str) -> AxiomSpec:
 # function, so it stays a module global that `run_axiom_battery` calls by
 # name, `run_one(rng, t)` returns `(verdict, scenario)` with a
 # deterministic `repr`, `notes` reads "N scenarios rejected", and the
-# ScenarioRejected messages keep their wording.
+# ScenarioRejected messages keep their wording.  A rule must be a
+# deterministic function of its profile: `run_one` evaluates it once per
+# profile object, with a store that each call of `run_one` starts empty,
+# so a replayed trial does the trial's whole work again.
 def _run_battery(
     axiom: str,
     trials: int,
@@ -600,12 +608,39 @@ def _run_battery(
     return AxiomVerdict(axiom, True, trials, None, notes)
 
 
+def _once_per_profile(swf: Swf) -> Swf:
+    """`swf` evaluated once per `Profile` object: a second call with the
+    same object returns the first call's result.  The store holds each
+    profile, so no other object can take its id while the store lives."""
+    store: dict[int, tuple[Profile, SwfResult]] = {}
+
+    def rule(profile: Profile) -> SwfResult:
+        hit = store.get(id(profile))
+        if hit is None:
+            hit = store[id(profile)] = (profile, swf(profile))
+        return hit[1]
+
+    return rule
+
+
 def run_axiom_battery(swf: Swf, axiom: str, trials: int, seed: int) -> AxiomVerdict:
+    """Run `trials` trials of the axiom's battery against the rule, trial t
+    on its own `random.Random(child_seed(seed, axiom, t))`; the verdict of
+    the first violated trial, with its witness, or "satisfied-on-sample".
+    `trials` must be at least 1.
+
+    The rule must be a deterministic function of its profile: within a
+    trial it is evaluated once per profile object, and the draw and the
+    check share the result (restricted monotonicity's base profile, say).
+    Nothing is kept from one trial to the next."""
+    if trials < 1:
+        raise ValueError(f"need at least one trial, not {trials}")
     spec = _spec(axiom)
 
     def run_one(rng: random.Random, t: int) -> tuple[AxiomVerdict, dict]:
-        scenario = spec.draw(rng, t, swf)
-        return spec.check(swf, scenario), scenario
+        rule = _once_per_profile(swf)
+        scenario = spec.draw(rng, t, rule)
+        return spec.check(rule, scenario), scenario
 
     return _run_battery(axiom, trials, seed, run_one)
 

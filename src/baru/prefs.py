@@ -84,6 +84,13 @@ class _LabelledVector:
         except KeyError:
             raise ValueError(f"unknown outcome {label!r}") from None
 
+    def values_of(self, labels: Sequence[str]) -> list[float]:
+        """`value` of each label, in the given order."""
+        try:
+            return list(map(self._map.__getitem__, labels))
+        except KeyError as exc:
+            raise ValueError(f"unknown outcome {exc.args[0]!r}") from None
+
     def as_mapping(self) -> dict[str, float]:
         return dict(self.items)
 
@@ -112,15 +119,6 @@ class Utility(_LabelledVector):
             raise ValueError("utility must be normalised to min 0, max 1")
         super().__init__(data)
 
-    @classmethod
-    def _rescaled(cls, vals: dict[str, float], lo: float, span: float) -> "Utility":
-        """(v - lo) / span for finite values with minimum lo and range
-        span > 0.  That is exactly 0 at the minimum and exactly 1 at the
-        maximum, so the constructor's checks cannot fail and are skipped."""
-        self = cls.__new__(cls)
-        _LabelledVector.__init__(self, {k: (v - lo) / span for k, v in vals.items()})
-        return self
-
 
 class Lottery(_LabelledVector):
     """Probability vector over outcome labels."""
@@ -147,21 +145,33 @@ def normalize_utility(raw: Mapping[str, float], space: OutcomeSpace) -> Utility 
     """Rescale a raw utility to [0, 1]; None stands for the constant
     (completely indifferent) utility.  Positive-affine transformations of
     the input land on the identical normalised object."""
-    vals = {}
+    vals = []
     for lab in space.labels:
         if lab not in raw:
             raise ValueError(f"utility missing outcome {lab!r}")
-        vals[lab] = float(raw[lab])
+        vals.append(float(raw[lab]))
     if len(raw) != len(space.labels):
         extra = set(raw) - set(space.labels)
         raise ValueError(f"utility has unknown outcomes {sorted(extra)}")
-    if not all(map(isfinite, vals.values())):
+    return _normalized_utility(space.labels, vals)
+
+
+def _normalized_utility(labels: Sequence[str], vals: Sequence[float]) -> Utility | None:
+    """The normalization rule shared by `normalize_utility` and the rules'
+    `_merge`: `vals[k]` is the raw utility of `labels[k]`.  Non-finite
+    values raise ValueError; a range of at most TOL_EXACT is the constant
+    utility, None.  Otherwise (v - lo) / span is exactly 0 at the minimum
+    and exactly 1 at the maximum, so `Utility`'s checks cannot fail and are
+    skipped."""
+    if not all(map(isfinite, vals)):
         raise ValueError("utility values must be finite")
-    lo = min(vals.values())
-    hi = max(vals.values())
-    if hi - lo <= TOL_EXACT:
+    lo = min(vals)
+    span = max(vals) - lo
+    if span <= TOL_EXACT:
         return None
-    return Utility._rescaled(vals, lo, hi - lo)
+    util = Utility.__new__(Utility)
+    _LabelledVector.__init__(util, dict(zip(labels, [(v - lo) / span for v in vals])))
+    return util
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .measure import (
     cell_values,
     interval_masses,
     merged_breakpoints,
+    segment_masses,
 )
 from .prefs import (
     Act,
@@ -33,8 +34,8 @@ from .prefs import (
     Preference,
     Profile,
     Utility,
+    _normalized_utility,
     expected_utility,
-    normalize_utility,
     preference_distance,
 )
 
@@ -91,8 +92,10 @@ def _merge(
     Each contribution is (agent_id, preference, belief_weight,
     utility_weight).  Belief weights are renormalized to sum to one;
     utility weights are applied as given.  fsum keeps the aggregation
-    independent of contributor order.
-    """
+    independent of contributor order.  Each contributor's utilities are
+    read once, in the space's label order (a label it lacks raises
+    ValueError), and their weighted sums are normalized in that order by
+    the rule `normalize_utility` applies."""
     concerned = profile.concerned
     live = [(i, p, bw, uw) for i, p, bw, uw in contribs if not p.is_indifferent]
     if not live:
@@ -109,14 +112,14 @@ def _merge(
     labels = profile.space.labels
     uws = [uw for _, _, _, uw in live]
     # one row per contributor, one column per outcome
-    utils = [list(map(p.utility.value, labels)) for _, p, _, _ in live]
-    raw = tuple([(lab, fsum(map(mul, uws, col))) for lab, col in zip(labels, zip(*utils))])
-    norm = normalize_utility(dict(raw), profile.space)
+    utils = [p.utility.values_of(labels) for _, p, _, _ in live]
+    sums = [fsum(map(mul, uws, col)) for col in zip(*utils)]
+    norm = _normalized_utility(labels, sums)
     pref = INDIFFERENT if norm is None else Preference(belief, norm)
     return SwfResult(
         pref,
         belief,
-        raw,
+        tuple(zip(labels, sums)),
         tuple([(i, bw) for i, _, bw, _ in live]),
         tuple([(i, uw) for i, _, _, uw in live]),
         concerned,
@@ -217,7 +220,7 @@ def _canonical_order(profile: Profile) -> list[int]:
             (
                 p.belief.breakpoints,
                 p.belief.values,
-                tuple(p.utility.value(lab) for lab in labs),
+                p.utility.values_of(labs),
                 pos,
             )
         )
@@ -225,17 +228,28 @@ def _canonical_order(profile: Profile) -> list[int]:
 
 
 def _nash_point(profile: Profile) -> np.ndarray:
-    geom = geometry_for(profile)
-    n = geom.dimension
-    if n == 1:
-        hi = float(geom.tensor.max(axis=1).sum(axis=0)[0])
-        return np.array([hi])
+    """The bargaining point of the concerned agents' image, one coordinate
+    per concerned agent.  One agent takes its largest expected utility.
+    Two agents take the Pareto walk on Python floats: the agents' segment
+    masses on their merged grid and their utilities in label order, in
+    canonical order, with no `ProfileGeometry`.  Three or more take
+    Frank-Wolfe on the `geometry_for` tensor, in canonical order."""
+    concerned = profile.concerned
+    if len(concerned) == 1:
+        tensor = geometry_for(profile).tensor
+        return np.array([float(tensor.max(axis=1).sum(axis=0)[0])])
     perm = _canonical_order(profile)
-    if n == 2:
-        x_canon = _pareto_walk(geom.masses[perm].tolist(), geom.utils[perm].tolist())
+    if len(concerned) == 2:
+        agents = [profile.agents[concerned[k]] for k in perm]
+        bps = merged_breakpoints([p.belief for p in agents])
+        labs = profile.space.labels
+        x_canon = _pareto_walk(
+            [segment_masses(p.belief, bps) for p in agents],
+            [p.utility.values_of(labs) for p in agents],
+        )
     else:
-        x_canon = _nash_frank_wolfe(np.ascontiguousarray(geom.tensor[:, :, perm]))
-    out = np.empty(n)
+        x_canon = _nash_frank_wolfe(np.ascontiguousarray(geometry_for(profile).tensor[:, :, perm]))
+    out = np.empty(len(perm))
     out[perm] = x_canon
     return out
 

@@ -101,6 +101,23 @@ def test_anonymity_positional_rule_violated(table1):
     assert "swap" in v.witness and v.witness["distance"] > 0.0
 
 
+def test_anonymity_skips_transpositions_of_equal_agents(table1):
+    # Swapping the two indifferent agents gives a profile equal to this one,
+    # so the rule is not called for it; the swap still counts as a trial.
+    profile, _, _ = table1
+    profile = Profile(profile.space, (*profile.agents, INDIFFERENT))
+    calls = []
+
+    def counting(prof):
+        calls.append(prof)
+        return baru(prof)
+
+    v = check_anonymity(counting, profile)
+    assert v.satisfied and v.trials == 6
+    assert len(calls) == 6
+    assert all(prof != profile for prof in calls[1:])
+
+
 # -- no belief imposition ----------------------------------------------------
 
 

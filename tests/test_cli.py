@@ -167,6 +167,17 @@ def test_axiom_report_swf3_faithfulness_violated(capsys):
     assert any("faithfulness" in line and "violated" in line for line in captured.err.splitlines())
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_axiom_report_refuses_no_trials(capsys, trials):
+    # no trial would make every axiom pass vacuously
+    rc = main(["axiom-report", "--swf", "swf4", "--trials", trials])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diag = json.loads(captured.err)
+    assert diag == {"error": "--trials must be at least 1", "trials": int(trials)}
+
+
 def test_axiom_report_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(["axiom-report", "--swf", "swf3", "--trials", "3", "--out", str(out)])

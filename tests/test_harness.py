@@ -1,11 +1,13 @@
 """Seeded scenario generators, battery plumbing, the expected-violation
 matrix at reduced trial counts, and witness replay."""
 
+import hashlib
 import json
 import random
 
 import pytest
 
+from baru import harness
 from baru import (
     INDIFFERENT,
     OutcomeSpace,
@@ -188,6 +190,87 @@ def test_scenario_codec_round_trip(axiom):
         assert scenario_from_dict(json.loads(json.dumps(scenario_as_dict(sc)))) == sc
         drawn += 1
     assert drawn >= 4
+
+
+# sha256 of the repr of the first 40 draws of each spec, trial t on
+# random.Random(child_seed(20240801, axiom, t)), a rejection as
+# "rejected: <message>", with the number of rejections.  Restricted
+# monotonicity's draw calls the rule, so it is pinned for swf1 too.
+DRAW_PINS = {
+    ("faithfulness", "baru"): ("27a18d8d86dfd0cb12204d9d909f8ef09cbe32e9085f6a170782ccb4ba3aaa28", 0),
+    ("anonymity", "baru"): ("c73380657b3988af2bf97f91366b284a93212527670d81d09bbb6a5ac446e940", 0),
+    ("no-belief-imposition", "baru"): ("f122d823837cf386c6f98ef4f78d1b20a8f59ab4502c392714438f29ff2325c2", 0),
+    ("restricted-monotonicity", "baru"): ("e96bab424644647c5c733ab0daf72ec49e1766b92f2603af5f9618cb152699f4", 3),
+    ("restricted-monotonicity", "swf1"): ("3332376f64ed7f9e9a2f9fb282cd976045f758c44105811352bcaf1a3302d603", 2),
+    ("independence-redundant-acts", "baru"): ("b0a7aa8ce2cc02b0a6316e1fab8872196a5b450f0bae02cde5df5e9e5603bbcf", 0),
+    ("restricted-pareto", "baru"): ("558338cdb2ce514e08adbef02f6ab60d69a76787d640980fd62ca39a87a8e6cb", 8),
+    ("continuity", "baru"): ("5327450e07433ed6def21cbdabe4eb565b40718615d96a1b5170b3c452d93fad", 0),
+}
+
+
+def test_draw_pins_cover_every_spec():
+    assert {axiom for axiom, _ in DRAW_PINS} == set(AXIOM_SPECS)
+
+
+@pytest.mark.parametrize("axiom,rule", sorted(DRAW_PINS))
+def test_draws_pinned(axiom, rule):
+    draw = AXIOM_SPECS[axiom].draw
+    lines = []
+    for t in range(40):
+        try:
+            lines.append(repr(draw(random.Random(child_seed(20240801, axiom, t)), t, rule_by_name(rule))))
+        except ScenarioRejected as exc:
+            lines.append(f"rejected: {exc}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    rejected = sum(line.startswith("rejected: ") for line in lines)
+    assert (digest, rejected) == DRAW_PINS[axiom, rule], f"the {axiom} draws moved"
+
+
+def _calls_per_trial(monkeypatch, swf, axiom, trials, seed):
+    """(t, rule calls, completed) for each trial of a battery."""
+    calls = []
+
+    def counting(profile):
+        calls.append(profile)
+        return swf(profile)
+
+    per_trial = []
+    run_battery = harness._run_battery
+
+    def recording(axiom, trials, seed, run_one):
+        def run(rng, t):
+            before = len(calls)
+            try:
+                out = run_one(rng, t)
+            except ScenarioRejected:
+                per_trial.append((t, len(calls) - before, False))
+                raise
+            per_trial.append((t, len(calls) - before, True))
+            return out
+
+        return run_battery(axiom, trials, seed, run)
+
+    monkeypatch.setattr(harness, "_run_battery", recording)
+    run_axiom_battery(counting, axiom, trials, seed)
+    return per_trial
+
+
+def test_rm_trial_evaluates_the_base_profile_once(monkeypatch):
+    # The draw evaluates the rule at the base profile, and the check the
+    # base and the profile with the new agent: the check's base call is
+    # answered from the draw's.
+    seed = child_seed(20240801, "baru:restricted-monotonicity", 0)
+    per_trial = _calls_per_trial(monkeypatch, baru, "restricted-monotonicity", 40, seed)
+    completed = [(t, n) for t, n, done in per_trial if done]
+    assert sum(t % 13 != 0 for t, _ in completed) >= 30
+    assert all(n == 2 for _, n in completed), completed
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_battery_needs_a_trial(trials):
+    # no trial would pass every axiom vacuously
+    with pytest.raises(ValueError, match="at least one trial"):
+        run_axiom_battery(rule_by_name("swf4"), "anonymity", trials, 1)
 
 
 def test_unknown_axiom_raises():

@@ -5,6 +5,7 @@ registry."""
 import builtins
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from baru import (
     OutcomeSpace,
     Preference,
     Profile,
+    RULE_NAMES,
     Utility,
     WeightedAggregation,
     baru,
@@ -27,6 +29,7 @@ from baru import (
     ex_ante_scores,
     expected_utility,
     geometric_pool,
+    normalize_utility,
     rule_by_name,
     swf1,
     swf2,
@@ -39,9 +42,11 @@ from baru import (
 from baru import swf as swf_module
 from baru.axioms import continuity_probe
 from baru.geometry import ProfileGeometry, direction_set, geometry_for, minkowski_polygon
+from baru.measure import merged_breakpoints, segment_masses
 from baru.swf import (
     PHANTOM_ID,
     _canonical_order,
+    _merge,
     _nash_point,
     _pareto_walk,
     ramp_utility,
@@ -95,6 +100,84 @@ def test_baru_constant_sum_is_indifferent_but_keeps_belief():
     assert result.preference.is_indifferent
     assert result.belief is not None  # diagnostics survive the tie
     assert result.belief.mass(0.0, 0.5) == pytest.approx(0.6, abs=1e-12)
+
+
+def _merge_reference(profile, contribs):
+    """`_merge`'s summed utility built the way it was before: the weighted
+    sums through a dict into `normalize_utility`; the reference for
+    `_merge`."""
+    live = [(p, uw) for _, p, _, uw in contribs if not p.is_indifferent]
+    labels = profile.space.labels
+    uws = [uw for _, uw in live]
+    utils = [list(map(p.utility.value, labels)) for p, _ in live]
+    raw = tuple(
+        [(lab, math.fsum(map(operator.mul, uws, col))) for lab, col in zip(labels, zip(*utils))]
+    )
+    return raw, normalize_utility(dict(raw), profile.space)
+
+
+def _bits(pairs):
+    return [(k, v.hex()) for k, v in pairs]
+
+
+def test_merge_utility_matches_normalize_utility(rng):
+    for _ in range(500):
+        profile = random_profile(rng)
+        contribs = [
+            (i, profile.agents[i], rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0))
+            for i in profile.concerned
+        ]
+        result = _merge(profile, contribs)
+        raw, norm = _merge_reference(profile, contribs)
+        assert _bits(result.raw_utility) == _bits(raw)
+        assert _bits(result.preference.utility.items) == _bits(norm.items)
+
+
+def test_merge_flat_sum_is_indifferent():
+    # u and its reversal sum to one everywhere; a third agent at a small
+    # utility weight leaves a range below or above TOL_EXACT (1e-12)
+    d = Density.uniform()
+    profile = Profile(
+        SPACE,
+        (
+            Preference(d, Utility({"a": 1.0, "b": 0.0, "c": 0.3, "d": 0.6})),
+            Preference(d, Utility({"a": 0.0, "b": 1.0, "c": 0.7, "d": 0.4})),
+            Preference(d, Utility({"a": 0.0, "b": 0.5, "c": 1.0, "d": 0.5})),
+        ),
+    )
+    for weight, flat in ((0.0, True), (1e-13, True), (1e-11, False)):
+        contribs = [(i, p, 1.0, weight if i == 2 else 1.0) for i, p in enumerate(profile.agents)]
+        result = _merge(profile, contribs)
+        raw, norm = _merge_reference(profile, contribs)
+        assert result.preference.is_indifferent == flat == (norm is None)
+        assert result.belief == d
+        assert _bits(result.raw_utility) == _bits(raw)
+
+
+def test_merge_non_finite_sum_raises(table1):
+    profile, _, _ = table1
+    contribs = [(i, profile.agents[i], 1.0, math.inf) for i in profile.concerned]
+    with pytest.raises(ValueError, match="finite"):
+        _merge(profile, contribs)
+
+
+def test_merge_missing_label_raises(table1):
+    profile, _, _ = table1
+    phantom = Preference(Density.uniform(), ramp_utility(OutcomeSpace(("w", "x", "y", "z"))))
+    with pytest.raises(ValueError, match="unknown outcome 'a'"):
+        swf3(profile, phantom)
+
+
+@pytest.mark.parametrize("name", RULE_NAMES)
+def test_rule_is_a_function_of_the_profile_value(name):
+    # the batteries evaluate a rule once per profile object in a trial,
+    # which holds only if equal profiles give equal results
+    rule = rule_by_name(name)
+    for seed in range(40):
+        p, q = (random_profile(random.Random(seed)) for _ in range(2))
+        assert p is not q and p == q
+        a, b = rule(p), rule(q)
+        assert a == b and repr(a) == repr(b)
 
 
 def test_baru_swapped_profile_is_bit_identical(rng):
@@ -508,6 +591,64 @@ def test_swf1_permutation_exact_weights(rng):
             got = dict(swf1(shuffled).utility_weights)
             for new_pos, old_pos in enumerate(perm):
                 assert got.get(new_pos) == base.get(old_pos)  # bit-identical
+
+
+def _nash_point_geometry_route(profile):
+    """The two-agent point taken the way it was before: the Pareto walk on
+    `geometry_for`'s arrays; the reference for `_nash_point`."""
+    geom = geometry_for(profile)
+    perm = _canonical_order(profile)
+    out = np.empty(2)
+    out[perm] = _pareto_walk(geom.masses[perm].tolist(), geom.utils[perm].tolist())
+    return out
+
+
+def _sparse_density(rng, zeros):
+    """Density on 1/16-lattice cells; with `zeros`, some cells hold no mass."""
+    k = rng.randint(1, 5)
+    bps = (0.0, *(c / 16 for c in sorted(rng.sample(range(1, 16), k - 1))), 1.0)
+    vals = [rng.uniform(0.1, 2.0) for _ in range(k)]
+    if zeros and k > 1:
+        for s in rng.sample(range(k), rng.randint(1, k - 1)):
+            vals[s] = 0.0
+    total = math.fsum(v * (b - a) for v, a, b in zip(vals, bps, bps[1:]))
+    return Density(bps, tuple(v / total for v in vals))
+
+
+def test_two_agent_nash_point_matches_geometry_route():
+    rng = random.Random(20241019)
+    seen = dict.fromkeys(("one-zero", "both-zero", "duplicate", "lattice"), 0)
+    for trial in range(2000):
+        space = OutcomeSpace(tuple(f"o{x}" for x in range(rng.randint(4, 7))))
+        X = len(space.labels)
+        lattice = trial % 4 == 1
+        utils = []
+        while len(utils) < 2:
+            raw = [rng.randint(0, 4) / 4 if lattice else rng.random() for _ in range(X)]
+            utils.append(raw)
+            if trial % 3 == 0:
+                for _ in range(rng.randint(1, X - 2)):
+                    i, j = rng.randrange(X), rng.randrange(X)
+                    for u in utils:
+                        u[i] = u[j]
+            if any(max(u) == min(u) for u in utils):
+                utils = []
+        prefs = [INDIFFERENT] * rng.randint(3, 4)
+        for slot, raw in zip(rng.sample(range(len(prefs)), 2), utils):
+            u = normalize_utility(dict(zip(space.labels, raw)), space)
+            prefs[slot] = Preference(_sparse_density(rng, trial % 2 == 1), u)
+        profile = Profile(space, tuple(prefs))
+        got = _nash_point(profile)
+        want = _nash_point_geometry_route(profile)
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+        agents = [profile.agents[i] for i in profile.concerned]
+        bps = merged_breakpoints([p.belief for p in agents])
+        zeros = [(m1 == 0.0) + (m2 == 0.0) for m1, m2 in zip(*(segment_masses(p.belief, bps) for p in agents))]
+        seen["one-zero"] += 1 in zeros
+        seen["both-zero"] += 2 in zeros
+        seen["duplicate"] += len(set(zip(*(map(p.utility.value, space.labels) for p in agents)))) < X
+        seen["lattice"] += lattice
+    assert min(seen.values()) >= 200, seen
 
 
 def test_pareto_walk_square():
