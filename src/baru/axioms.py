@@ -334,7 +334,11 @@ def check_restricted_monotonicity(
 ) -> AxiomVerdict:
     """An indifferent agent acquires a preference whose belief agrees with
     society's on the acts in question; society must then follow the
-    agent's weak/strict ranking of f against g."""
+    agent's weak/strict ranking of f against g.
+
+    The belief agreement is checked act by act, as pushforward lotteries
+    within TOL_MEASURE, and is skipped when the new agent holds society's
+    belief object itself."""
     if not base.agents[agent].is_indifferent:
         raise ScenarioRejected("agent must be indifferent at the base profile")
     if newpref.is_indifferent:
@@ -348,13 +352,14 @@ def check_restricted_monotonicity(
         notes = "indifferent-society branch (constant acts)"
     else:
         soc_belief = before.preference.belief
-        for act in (f, g):
-            gap = _lottery_gap(
-                pushforward(act, soc_belief, base.space),
-                pushforward(act, newpref.belief, base.space),
-            )
-            if gap > TOL_MEASURE:
-                raise ScenarioRejected(f"pushforward mismatch {gap:.3e}")
+        if newpref.belief is not soc_belief:
+            for act in (f, g):
+                gap = _lottery_gap(
+                    pushforward(act, soc_belief, base.space),
+                    pushforward(act, newpref.belief, base.space),
+                )
+                if gap > TOL_MEASURE:
+                    raise ScenarioRejected(f"pushforward mismatch {gap:.3e}")
         if before.compare(f, g).verdict != "tie":
             raise ScenarioRejected("society is not indifferent between f and g at base")
         notes = ""

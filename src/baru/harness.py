@@ -40,6 +40,7 @@ from .prefs import (
     Utility,
     _cut_at_mass,
     compare,
+    pushforward,
     realize_lottery_act,
 )
 from .swf import RULE_NAMES, SwfResult, rule_by_name
@@ -93,6 +94,8 @@ def random_density(rng: random.Random) -> Density:
 
 
 def random_utility(rng: random.Random, space: OutcomeSpace) -> Utility:
+    """Utility 0 at one random outcome, 1 at another, and uniform on
+    [0.05, 0.95] at the rest."""
     lo, hi = rng.sample(space.labels, 2)
     vals = {}
     for lab in space.labels:
@@ -228,6 +231,21 @@ def _fiber_tilt(rng: random.Random, d: Density, cell_bps: Sequence[float]) -> De
 def rm_scenario(
     rng: random.Random, swf: Swf, variant: str
 ) -> tuple[Profile, int, Preference, Act, Act]:
+    """A restricted-monotonicity scenario: a base profile with an
+    indifferent agent, the agent's new preference and acts f and g that
+    society ranks as a tie at the base.
+
+    "indifferent": two agents with reversed utilities leave society
+    indifferent under equal-weight rules, and f and g are constant acts.
+    Otherwise f is built to tie with a random g under society's belief, and
+    the new agent holds that belief ("aligned", the same object) or one
+    tilted inside the cells of f and g ("tilted"); up to 40 random
+    utilities are tried for one that strictly ranks f against g.  For a
+    utility in [0, 1] the difference of expected utilities is at most the
+    L1 distance between the lotteries f and g induce under that belief,
+    plus rounding, so when that distance is at most 5e-7 no try can reach
+    1e-6: the draw is rejected after its first failed try, with the
+    message it would give after 40."""
     space = random_space(rng)
     n = rng.randint(3, 4)
     if variant == "indifferent":
@@ -273,10 +291,15 @@ def rm_scenario(
         belief = _fiber_tilt(rng, before.belief, grid)
     else:
         belief = before.belief
-    for _ in range(40):
+    for k in range(40):
         npref = Preference(belief, random_utility(rng, space))
         if abs(compare(npref, f, g).diff) >= 1e-6:
             return base, agent, npref, f, g
+        if k == 0:
+            # tested only after a failed try: most draws succeed at once
+            pf, pg = (pushforward(a, belief, space).values_of(space.labels) for a in (f, g))
+            if fsum(abs(x - y) for x, y in zip(pf, pg)) <= 5e-7:
+                break
     raise ScenarioRejected("no strictly opinionated new agent found")
 
 
@@ -368,6 +391,15 @@ def ira_scenario(
 def pareto_scenario(
     rng: random.Random, constant: bool
 ) -> tuple[Profile, Act, Act]:
+    """A restricted-Pareto scenario: a random profile and acts f, g that
+    every concerned agent ranks alike by at least 1e-3.
+
+    `constant`: up to 60 random pairs of outcomes are tried as constant
+    acts.  Otherwise up to 60 random lotteries are tried for one whose
+    expected utility, for every agent, is at least 0.05 below the least
+    utility any agent gives `star`, the outcome where that least utility is
+    largest; f mixes `star` into the lottery, and both lotteries are
+    realized as acts with the same pushforward under every belief."""
     prof = random_profile(rng)
     ids = prof.concerned
     utils = [prof.agents[i].utility for i in ids]

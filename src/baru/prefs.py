@@ -101,7 +101,7 @@ class _LabelledVector:
         return hash((type(self).__name__, self.items))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{k}: {v:.6g}" for k, v in self.items)
+        body = ", ".join(f"{k}: {v!r}" for k, v in self.items)
         return f"{type(self).__name__}({{{body}}})"
 
 

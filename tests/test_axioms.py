@@ -43,9 +43,10 @@ from baru.axioms import (
     _exact_support_gap,
     certify_coredundancy,
 )
-from baru import lp
+from baru import axioms as axioms_module
+from baru import harness, lp
 from baru.geometry import geometry_for, support_values
-from baru.harness import ira_scenario, random_profile, random_utility, reversal
+from baru.harness import child_seed, ira_scenario, random_profile, random_utility, reversal
 from baru.measure import TOL_MEASURE
 
 SPACE = OutcomeSpace(("a", "b", "c", "d"))
@@ -185,6 +186,31 @@ def test_rm_rejects_unbalanced_acts(table1):
     # f's pushforward differs between society's belief and the new one
     with pytest.raises(ScenarioRejected):
         check_restricted_monotonicity(baru, base, 1, newpref, f, g)
+
+
+def test_rm_skips_belief_agreement_for_society_belief_itself(monkeypatch):
+    # the battery's "aligned" draw hands the new agent society's own belief
+    # object; the rule is evaluated once per profile, as in the battery
+    rule = harness._once_per_profile(baru)
+    rng = random.Random(child_seed(20240801, "restricted-monotonicity", 1))
+    sc = harness.AXIOM_SPECS["restricted-monotonicity"].draw(rng, 1, rule)
+    assert sc["variant"] == "aligned"
+    base, agent, newpref, f, g = sc["base"], sc["agent"], sc["newpref"], sc["f"], sc["g"]
+    belief = rule(base).preference.belief
+    assert newpref.belief is belief
+    calls = []
+    real = axioms_module.pushforward
+    monkeypatch.setattr(axioms_module, "pushforward", lambda *a: calls.append(a) or real(*a))
+    assert check_restricted_monotonicity(rule, base, agent, newpref, f, g).satisfied
+    assert calls == []
+    # an equal belief in another object is compared act by act
+    copy = Preference(Density(belief.breakpoints, belief.values), newpref.utility)
+    assert check_restricted_monotonicity(rule, base, agent, copy, f, g).satisfied
+    assert len(calls) == 4
+    # and a different one is still rejected
+    other = Preference(Density.uniform(), newpref.utility)
+    with pytest.raises(ScenarioRejected, match="pushforward mismatch"):
+        check_restricted_monotonicity(rule, base, agent, other, f, g)
 
 
 def test_rm_rejects_society_strictness(table1):

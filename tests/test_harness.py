@@ -10,7 +10,12 @@ import pytest
 from baru import harness
 from baru import (
     INDIFFERENT,
+    RULE_NAMES,
+    Act,
     OutcomeSpace,
+    Preference,
+    Profile,
+    compare,
     baru,
     preference_from_dict,
     profile_as_dict,
@@ -47,6 +52,7 @@ from baru.harness import (
     scenario_as_dict,
     scenario_from_dict,
 )
+from baru.prefs import _cut_at_mass
 
 SPACE = OutcomeSpace(("a", "b", "c", "d"))
 
@@ -198,13 +204,13 @@ def test_scenario_codec_round_trip(axiom):
 # monotonicity's draw calls the rule, so it is pinned for swf1 too.
 DRAW_PINS = {
     ("faithfulness", "baru"): ("27a18d8d86dfd0cb12204d9d909f8ef09cbe32e9085f6a170782ccb4ba3aaa28", 0),
-    ("anonymity", "baru"): ("c73380657b3988af2bf97f91366b284a93212527670d81d09bbb6a5ac446e940", 0),
-    ("no-belief-imposition", "baru"): ("f122d823837cf386c6f98ef4f78d1b20a8f59ab4502c392714438f29ff2325c2", 0),
-    ("restricted-monotonicity", "baru"): ("e96bab424644647c5c733ab0daf72ec49e1766b92f2603af5f9618cb152699f4", 3),
-    ("restricted-monotonicity", "swf1"): ("3332376f64ed7f9e9a2f9fb282cd976045f758c44105811352bcaf1a3302d603", 2),
-    ("independence-redundant-acts", "baru"): ("b0a7aa8ce2cc02b0a6316e1fab8872196a5b450f0bae02cde5df5e9e5603bbcf", 0),
-    ("restricted-pareto", "baru"): ("558338cdb2ce514e08adbef02f6ab60d69a76787d640980fd62ca39a87a8e6cb", 8),
-    ("continuity", "baru"): ("5327450e07433ed6def21cbdabe4eb565b40718615d96a1b5170b3c452d93fad", 0),
+    ("anonymity", "baru"): ("61756782f584499bae62aa9bc6034a90eb519260d9f9886ddf60313f4cf848d1", 0),
+    ("no-belief-imposition", "baru"): ("3cd4d1911e146f84489d241a17fbf78754a69cd15b71abcd17ab5dd16c78f54e", 0),
+    ("restricted-monotonicity", "baru"): ("273afce1396c57e0d486fdcc3e4e6aa16454a392ba090dddc2876b716243ac94", 3),
+    ("restricted-monotonicity", "swf1"): ("f5c2f8adbb07df4e1bc6aba2101d186a9d2cd3852d865d8f574fc1ec2d79eea5", 2),
+    ("independence-redundant-acts", "baru"): ("2998fd80d19326e1c5d5ce3ca7b5509eecdc807690831cd7cd42be90c3d2900f", 0),
+    ("restricted-pareto", "baru"): ("f80734ba5f376bf76e94948fc224dd7f812857baa7d56ced46d2eac0b9ffe14c", 8),
+    ("continuity", "baru"): ("4904db441de85adc9c789e37e68e4b2ab3228906228e51e475d19966f8f17ddc", 0),
 }
 
 
@@ -264,6 +270,109 @@ def test_rm_trial_evaluates_the_base_profile_once(monkeypatch):
     completed = [(t, n) for t, n, done in per_trial if done]
     assert sum(t % 13 != 0 for t, _ in completed) >= 30
     assert all(n == 2 for _, n in completed), completed
+
+
+def _rm_scenario_reference(rng, swf, variant):
+    """`rm_scenario` with its full 40-try search for an opinionated agent."""
+    space = harness.random_space(rng)
+    n = rng.randint(3, 4)
+    if variant == "indifferent":
+        u = random_utility(rng, space)
+        prefs = [INDIFFERENT] * n
+        prefs[1] = Preference(random_density(rng), u)
+        prefs[2] = Preference(random_density(rng), reversal(u))
+        base = Profile(space, tuple(prefs))
+        newpref = Preference(random_density(rng), random_utility(rng, space))
+        labs = newpref.utility.labels
+        lo = min(labs, key=newpref.utility.value)
+        hi = max(labs, key=newpref.utility.value)
+        f = Act.from_segments(((0.0, 1.0, hi),))
+        g = Act.from_segments(((0.0, 1.0, lo),))
+        return base, 0, newpref, f, g
+    base = random_profile(rng, space, n_agents=n, n_concerned=2)
+    agent = next(i for i in range(n) if base.agents[i].is_indifferent)
+    before = swf(base)
+    if before.preference.is_indifferent:
+        raise ScenarioRejected("society indifferent at base")
+    raw = dict(before.raw_utility)
+    lo_lab = min(raw, key=raw.get)
+    hi_lab = max(raw, key=raw.get)
+    if raw[hi_lab] - raw[lo_lab] < 0.05:
+        raise ScenarioRejected("society utility nearly flat")
+    g = random_act(rng, space)
+    evg = before.ev(g)
+    tstar = min(max((evg - raw[lo_lab]) / (raw[hi_lab] - raw[lo_lab]), 0.0), 1.0)
+    c = min(max(_cut_at_mass(before.belief, 0.0, 1.0, tstar), 0.0), 1.0)
+    segs = []
+    if c > 0.0:
+        segs.append((0.0, c, hi_lab))
+    if c < 1.0:
+        segs.append((c, 1.0, lo_lab))
+    f = Act.from_segments(tuple(segs))
+    if abs(before.ev(f) - evg) > 1e-12:
+        raise ScenarioRejected("society tie construction drifted")
+    if variant == "tilted":
+        grid = sorted(set(f.breakpoints()) | set(g.breakpoints()))
+        belief = harness._fiber_tilt(rng, before.belief, grid)
+    else:
+        belief = before.belief
+    for _ in range(40):
+        npref = Preference(belief, random_utility(rng, space))
+        if abs(compare(npref, f, g).diff) >= 1e-6:
+            return base, agent, npref, f, g
+    raise ScenarioRejected("no strictly opinionated new agent found")
+
+
+def _same_draw(draw, reference, seed, *args):
+    """The two draws on one seed, each as its repr or its rejection."""
+    outs = []
+    for fn in (draw, reference):
+        try:
+            outs.append(repr(fn(random.Random(seed), *args)))
+        except ScenarioRejected as exc:
+            outs.append(f"rejected: {exc}")
+    assert outs[0] == outs[1], seed
+    return outs[0]
+
+
+def test_rm_scenario_matches_full_search():
+    # every variant, with each rule as the draw's rule; the hopeless
+    # searches end after one try and must reject with the same message
+    hopeless = 0
+    for rule in RULE_NAMES:
+        swf = rule_by_name(rule)
+        for t in range(290):
+            variant = "indifferent" if t % 13 == 0 else "tilted" if t % 3 == 0 else "aligned"
+            out = _same_draw(rm_scenario, _rm_scenario_reference, child_seed(13, rule, t), swf, variant)
+            hopeless += out == "rejected: no strictly opinionated new agent found"
+    assert hopeless >= 50
+
+
+def test_hopeless_rm_draw_tries_one_new_agent(monkeypatch):
+    # trials 10 (aligned) and 18 (tilted) of the pinned draws: f and g give
+    # the new agent's belief the same lottery, so no utility separates them
+    tries = []
+    rule_called = []
+    draw_utility = harness.random_utility
+
+    def rule(profile):
+        rule_called.append(profile)
+        return baru(profile)
+
+    def counting(rng, space):
+        if rule_called:  # the base profile is drawn before the rule runs
+            tries.append(space)
+        return draw_utility(rng, space)
+
+    monkeypatch.setattr(harness, "random_utility", counting)
+    for t in (10, 18):
+        tries.clear()
+        rule_called.clear()
+        with pytest.raises(ScenarioRejected, match="no strictly opinionated new agent found"):
+            AXIOM_SPECS["restricted-monotonicity"].draw(
+                random.Random(child_seed(20240801, "restricted-monotonicity", t)), t, rule
+            )
+        assert len(tries) == 1
 
 
 @pytest.mark.parametrize("trials", [0, -2])

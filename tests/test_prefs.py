@@ -73,6 +73,14 @@ def test_utility_requires_unit_normalization():
         u.value("missing")
 
 
+def test_utility_repr_tells_ninth_digit_apart():
+    # six significant digits would print both as 0.123457
+    u = Utility({"a": 0.0, "b": 1.0, "c": 0.123456789})
+    v = Utility({"a": 0.0, "b": 1.0, "c": 0.12345678})
+    assert repr(u) != repr(v)
+    assert "0.123456789" in repr(u)
+
+
 def test_utility_rejects_non_finite_values():
     with pytest.raises(ValueError):
         Utility({"a": 0.0, "b": 1.0, "c": math.nan})
