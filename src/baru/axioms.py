@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from math import fsum
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,7 +45,9 @@ from .prefs import (
     Preference,
     Profile,
     Utility,
+    _normalized_utility,
     compare,
+    discount_to_belief,
     expected_utility,
     preference_distance,
     pushforward,
@@ -378,17 +379,17 @@ def check_restricted_monotonicity(
 
 def _restricted_view(
     result: SwfResult, q: Coarsening, outcomes: tuple[str, ...]
-) -> tuple[Density, dict[str, float]] | None:
+) -> tuple[Density, Utility] | None:
     """Society's preference seen only through acts that factor through q
-    into the outcome subset; None when that restriction is indifference."""
+    into the outcome subset: the coarsened belief, and the raw utility
+    renormalized on the subset by `_normalized_utility`, the rule the
+    rules themselves apply.  None when that restriction is indifference."""
     if result.preference.is_indifferent:
         return None
     raw = dict(result.raw_utility)
-    vals = [raw[o] for o in outcomes]
-    lo, hi = min(vals), max(vals)
-    if hi - lo <= TOL_EXACT:
+    norm = _normalized_utility(outcomes, [raw[o] for o in outcomes])
+    if norm is None:
         return None
-    norm = {o: (raw[o] - lo) / (hi - lo) for o in outcomes}
     return pushforward_coarsening(q, result.preference.belief), norm
 
 
@@ -427,7 +428,7 @@ def check_independence_redundant_acts(
     if r1 is None:
         return AxiomVerdict("independence-redundant-acts", True, 1)
     belief_gap = belief_distance(r1[0], r2[0])
-    util_gap = max(abs(r1[1][o] - r2[1][o]) for o in outs)
+    util_gap = max(abs(x - y) for x, y in zip(r1[1].values_of(outs), r2[1].values_of(outs)))
     violated = belief_gap > TOL_MEASURE or util_gap > TOL_EXACT
     witness = None
     if violated:
@@ -647,15 +648,15 @@ def _median_cut(d: Density) -> float:
 
 def _tilted(d: Density) -> Density:
     """A fixed nearby density: half the mass pushed toward the left of the
-    median cut (scale 1.5 left, 0.5 right)."""
+    median cut (scale 1.5 left, 0.5 right), rescaled to a belief by
+    `discount_to_belief`."""
     cut = _median_cut(d)
     bps = merged_breakpoints([d], extra=[cut])
     vals = []
     for b, v in zip(bps[1:], cell_values(d, bps)):
         scale = 1.5 if b <= cut + 1e-15 else 0.5
         vals.append(v * scale)
-    total = fsum(v * (b - a) for v, (a, b) in zip(vals, zip(bps[:-1], bps[1:])))
-    return Density(bps, tuple(v / total for v in vals))
+    return discount_to_belief(bps, vals)
 
 
 _PROBE_STEPS = (1e-1, 1e-2, 1e-3, 1e-4)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from typing import Callable, Mapping, Sequence
 
 from . import __version__
@@ -20,22 +21,17 @@ from .geometry import ImagePolytope, image_polytope
 from .harness import (
     AXIOM_SPECS,
     MATRIX_AXIOMS,
+    DecodeError,
     preference_as_dict,
+    preference_from_dict,
     profile_as_dict,
+    profile_from_dict,
     run_axiom_battery,
     child_seed,
     violation_witness,
 )
 from .measure import Coarsening, Density, segment_masses
-from .prefs import (
-    Act,
-    INDIFFERENT,
-    OutcomeSpace,
-    Preference,
-    Profile,
-    Utility,
-    preference_distance,
-)
+from .prefs import Act, OutcomeSpace, Preference, Profile, preference_distance
 from .swf import (
     RULE_NAMES,
     WeightedAggregation,
@@ -75,30 +71,20 @@ def _load_json(path: str) -> object:
         raise _fail("invalid JSON", file=path, line=exc.lineno, detail=exc.msg)
 
 
-def _parse_preference(entry: Mapping, grid: Sequence[float] | None, path: str, agent: int | None) -> Preference:
-    where = {"file": path} if agent is None else {"file": path, "agent": agent}
-    belief = entry.get("belief")
-    utility = entry.get("utility")
-    if belief is None and utility is None:
-        return INDIFFERENT
-    if belief is None or utility is None:
-        raise _fail("belief and utility must both be present or both null", **where)
+@contextmanager
+def _decoding(error: str, **where):
+    """The one boundary between an input's contents and their decoders: a
+    KeyError, TypeError or ValueError raised inside becomes the input's
+    exit-2 diagnostic `error`.  A `DecodeError` names its own error and
+    location.  Only decoding belongs inside, so that a fault in the library
+    still shows as a traceback."""
     try:
-        if "breakpoints" in belief:
-            dens = Density(
-                tuple(float(x) for x in belief["breakpoints"]),
-                tuple(float(v) for v in belief["values"]),
-            )
-        elif grid is not None:
-            dens = Density(tuple(float(x) for x in grid), tuple(float(v) for v in belief["values"]))
-        else:
-            raise _fail("belief without breakpoints needs a top-level grid", **where)
-        util = Utility({str(k): float(v) for k, v in utility.items()})
-    except CliError:
-        raise
+        yield
+    except DecodeError as exc:
+        detail = {"detail": exc.detail} if exc.detail else {}
+        raise _fail(exc.error, **where, **exc.where, **detail) from None
     except (KeyError, TypeError, ValueError) as exc:
-        raise _fail("invalid preference", detail=str(exc), **where)
-    return Preference(dens, util)
+        raise _fail(error, **where, detail=str(exc)) from None
 
 
 def load_profile(path: str) -> tuple[Profile, dict]:
@@ -106,26 +92,22 @@ def load_profile(path: str) -> tuple[Profile, dict]:
     data = _load_json(path)
     if not isinstance(data, dict) or "outcomes" not in data or "agents" not in data:
         raise _fail("profile file needs 'outcomes' and 'agents'", file=path)
-    grid = data.get("grid")
-    if grid is not None:
-        grid = tuple(float(x) for x in grid)
-    try:
-        space = OutcomeSpace(tuple(str(x) for x in data["outcomes"]))
-    except ValueError as exc:
-        raise _fail("invalid outcome space", file=path, detail=str(exc))
-    prefs = []
-    for k, entry in enumerate(data["agents"]):
-        if not isinstance(entry, Mapping):
-            raise _fail("agent entry must be an object", file=path, agent=k)
-        prefs.append(_parse_preference(entry, grid, path, k))
-    try:
-        profile = Profile(space, tuple(prefs))
-    except ValueError as exc:
-        raise _fail("invalid profile", file=path, detail=str(exc))
+    with _decoding("invalid profile", file=path):
+        profile = profile_from_dict(data)
     params = data.get("params") or {}
     if not isinstance(params, Mapping):
         raise _fail("params must be an object", file=path)
     return profile, dict(params)
+
+
+def _with_params_file(params: dict, path: str | None) -> dict:
+    """The profile's params section, updated by a --params file."""
+    if path:
+        override = _load_json(path)
+        if not isinstance(override, Mapping):
+            raise _fail("params file must be a JSON object", file=path)
+        params.update(override)
+    return params
 
 
 def serialize_profile(profile: Profile, params: Mapping | None = None) -> dict:
@@ -158,7 +140,8 @@ def _parse_params_pref(params: Mapping, key: str, path_hint: str) -> Preference 
     entry = params.get(key)
     if entry is None:
         return None
-    pref = _parse_preference(entry, None, path_hint, None)
+    with _decoding(f"invalid params.{key}", file=path_hint):
+        pref = preference_from_dict(entry)
     if pref.is_indifferent:
         raise _fail(f"params.{key} must be a represented preference", file=path_hint)
     return pref
@@ -176,7 +159,7 @@ def _per_profile_anchor(custom: Preference | None) -> Callable[[Profile], Prefer
     return pick
 
 
-def build_rule(name: str, params: Mapping, space: OutcomeSpace, path_hint: str) -> Swf:
+def build_rule(name: str, params: Mapping, path_hint: str) -> Swf:
     """Rule callable from a name plus the profile file's params section."""
     if name == "swf2":
         anchor = _per_profile_anchor(_parse_params_pref(params, "anchor", path_hint))
@@ -188,7 +171,8 @@ def build_rule(name: str, params: Mapping, space: OutcomeSpace, path_hint: str) 
         seq = params.get("alpha")
         if seq is None:
             return rule_by_name("swf5")
-        alphas = tuple(float(a) for a in seq)
+        with _decoding("params.alpha must be positive numbers", file=path_hint):
+            alphas = tuple(map(float, seq))
         if not alphas or any(a <= 0.0 for a in alphas):
             raise _fail("params.alpha must be positive numbers", file=path_hint)
 
@@ -202,12 +186,10 @@ def build_rule(name: str, params: Mapping, space: OutcomeSpace, path_hint: str) 
         spec = params.get("weights")
         if not isinstance(spec, Mapping) or "belief" not in spec or "utility" not in spec:
             raise _fail("--swf weighted needs params.weights.belief and .utility", file=path_hint)
-        try:
-            bw = tuple(float(w) for w in spec["belief"])
-            uw = tuple(float(w) for w in spec["utility"])
+        with _decoding("invalid weights", file=path_hint):
+            bw = tuple(map(float, spec["belief"]))
+            uw = tuple(map(float, spec["utility"]))
             WeightedAggregation(bw, uw)
-        except ValueError as exc:
-            raise _fail("invalid weights", file=path_hint, detail=str(exc))
 
         def fit(ws: tuple[float, ...], n: int) -> tuple[float, ...]:
             # agents past the listed weights count at the neutral weight
@@ -332,12 +314,7 @@ def _ranking(result, acts: Mapping[str, Act]) -> str:
 
 def cmd_aggregate(args) -> int:
     profile, params = load_profile(args.profile)
-    if args.params:
-        override = _load_json(args.params)
-        if not isinstance(override, Mapping):
-            raise _fail("params file must be a JSON object", file=args.params)
-        params.update(override)
-    rule = build_rule(args.swf, params, profile.space, args.profile)
+    rule = build_rule(args.swf, _with_params_file(params, args.params), args.profile)
     result = rule(profile)
     if args.acts:
         acts = load_acts(args.acts, profile.space)
@@ -364,18 +341,8 @@ def cmd_aggregate(args) -> int:
 def cmd_axiom_report(args) -> int:
     if args.trials < 1:
         raise _fail("--trials must be at least 1", trials=args.trials)
-    if args.profile:
-        profile, params = load_profile(args.profile)
-        space = profile.space
-    else:
-        profile, params = None, {}
-        space = OutcomeSpace(("o1", "o2", "o3", "o4"))
-    if args.params:
-        override = _load_json(args.params)
-        if not isinstance(override, Mapping):
-            raise _fail("params file must be a JSON object", file=args.params)
-        params.update(override)
-    rule = build_rule(args.swf, params, space, args.profile or "<defaults>")
+    profile, params = load_profile(args.profile) if args.profile else (None, {})
+    rule = build_rule(args.swf, _with_params_file(params, args.params), args.profile or "<defaults>")
     axioms = list(MATRIX_AXIOMS) + (["restricted-pareto"] if args.pareto else [])
     report: dict = {
         "version": __version__,
@@ -530,12 +497,8 @@ def _load_single_preference(path: str, agent: int | None) -> Preference:
         if not 0 <= agent < len(profile.agents):
             raise _fail("agent index out of range", file=path, agent=agent)
         return profile.agents[agent]
-    if not isinstance(data, Mapping):
-        raise _fail("preference file must be a JSON object", file=path)
-    grid = data.get("grid")
-    if grid is not None:
-        grid = tuple(float(x) for x in grid)
-    return _parse_preference(data, grid, path, None)
+    with _decoding("invalid preference", file=path):
+        return preference_from_dict(data)
 
 
 def cmd_distance(args) -> int:

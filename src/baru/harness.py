@@ -40,6 +40,7 @@ from .prefs import (
     Utility,
     _cut_at_mass,
     compare,
+    discount_to_belief,
     pushforward,
     realize_lottery_act,
 )
@@ -168,13 +169,48 @@ def preference_as_dict(p: Preference) -> dict:
     return {"belief": p.belief.as_dict(), "utility": dict(p.utility.as_mapping())}
 
 
-def preference_from_dict(data: Mapping) -> Preference:
-    if data.get("belief") is None or data.get("utility") is None:
-        return INDIFFERENT
+class DecodeError(ValueError):
+    """A profile or preference dict that does not decode.  `error` says
+    what failed, `detail` gives the underlying message if there is one, and
+    `where` locates the failure, as {"agent": 1} for an agent entry."""
+
+    def __init__(self, error: str, detail: str = "", **where):
+        super().__init__(f"{error}: {detail}" if detail else error)
+        self.error, self.detail, self.where = error, detail, where
+
+
+def _mapping(data: object) -> Mapping:
+    if not isinstance(data, Mapping):
+        raise TypeError(f"expected an object, got {type(data).__name__}")
+    return data
+
+
+def _grid(data: Mapping) -> tuple[float, ...] | None:
+    grid = data.get("grid")
+    return None if grid is None else tuple(map(float, grid))
+
+
+def _preference(data: object, grid: tuple[float, ...] | None) -> Preference:
+    data = _mapping(data)
+    belief, utility = data.get("belief"), data.get("utility")
+    if belief is not None and "breakpoints" not in _mapping(belief):
+        if grid is None:
+            raise DecodeError("belief without breakpoints needs a top-level grid")
+        belief = {"breakpoints": grid, "values": belief["values"]}
     return Preference(
-        Density.from_dict(data["belief"]),
-        Utility({str(k): float(v) for k, v in data["utility"].items()}),
+        None if belief is None else Density.from_dict(belief),
+        None if utility is None else Utility(_mapping(utility)),
     )
+
+
+def preference_from_dict(data: Mapping) -> Preference:
+    """Inverse of `preference_as_dict`, and the decoder of the CLI's
+    preference files and `params` preferences.  A belief given without
+    breakpoints takes the dict's top-level `grid`; every number passes
+    through float().  Both fields null is complete indifference; one null
+    field raises ValueError, as `Preference` does.  Malformed input raises
+    KeyError, TypeError or ValueError."""
+    return _preference(data, _grid(_mapping(data)))
 
 
 def profile_as_dict(profile: Profile) -> dict:
@@ -185,8 +221,25 @@ def profile_as_dict(profile: Profile) -> dict:
 
 
 def profile_from_dict(data: Mapping) -> Profile:
-    space = OutcomeSpace(tuple(str(x) for x in data["outcomes"]))
-    return Profile(space, tuple(preference_from_dict(a) for a in data["agents"]))
+    """Inverse of `profile_as_dict`, and the decoder of the CLI's profile
+    files: witnesses and files share it.  Agent entries decode as in
+    `preference_from_dict`, with the profile's top-level `grid`.  A bad
+    outcome list or agent entry raises `DecodeError` saying which; other
+    malformed input raises KeyError, TypeError or ValueError."""
+    try:
+        space = OutcomeSpace(tuple(str(x) for x in data["outcomes"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DecodeError("invalid outcome space", str(exc)) from exc
+    grid = _grid(data)
+    prefs = []
+    for k, entry in enumerate(data["agents"]):
+        try:
+            prefs.append(_preference(entry, grid))
+        except DecodeError as exc:
+            raise DecodeError(exc.error, exc.detail, agent=k) from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DecodeError("invalid preference", str(exc), agent=k) from exc
+    return Profile(space, tuple(prefs))
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +371,8 @@ def _pairflat_density(rng: random.Random) -> tuple[Density, list[float]]:
     """Density constant on each sibling pair of 1/16 cells; returns the
     eight pair values too."""
     raw = [rng.uniform(0.15, 2.0) for _ in range(8)]
-    total = fsum(v / 8.0 for v in raw)
-    vals = [v / total for v in raw]
-    bps = tuple(j / 8 for j in range(9))
-    return Density(bps, tuple(vals)), vals
+    d = discount_to_belief([j / 8 for j in range(9)], raw)
+    return d, list(d.values)
 
 
 def ira_scenario(

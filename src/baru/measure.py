@@ -232,7 +232,9 @@ class Density:
 
     @staticmethod
     def from_dict(data: dict) -> "Density":
-        return Density(tuple(data["breakpoints"]), tuple(data["values"]))
+        """Inverse of `as_dict`; every number passes through float(), so
+        integer breakpoints or values decode as the float density."""
+        return Density(tuple(map(float, data["breakpoints"])), tuple(map(float, data["values"])))
 
 
 def measure(density: Density, event: EventSet) -> float:

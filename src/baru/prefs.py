@@ -520,8 +520,11 @@ def preference_distance(p: Preference, q: Preference) -> float:
 
 
 def discount_to_belief(breakpoints: Sequence[float], values: Sequence[float]) -> Density:
-    """Treat a nonnegative piecewise-constant discount function as an
-    unnormalised belief over time and scale it to integrate to one."""
+    """Scale any nonnegative step function on [0, 1), such as a discount
+    function over time, to a belief that integrates to one: each value is
+    divided by the fsum of value times cell width.  The package's one
+    rescaling of unnormalised densities, except `harness.random_density`.
+    Raises ZeroFunction when that integral is at most TOL_EXACT."""
     bp = tuple(float(x) for x in breakpoints)
     vals = tuple(float(v) for v in values)
     if any(v < 0.0 for v in vals):

@@ -34,7 +34,9 @@ from .prefs import (
     Preference,
     Profile,
     Utility,
+    ZeroFunction,
     _normalized_utility,
+    discount_to_belief,
     expected_utility,
     preference_distance,
 )
@@ -229,18 +231,14 @@ def _canonical_order(profile: Profile) -> list[int]:
 
 def _nash_point(profile: Profile) -> np.ndarray:
     """The bargaining point of the concerned agents' image, one coordinate
-    per concerned agent.  One agent takes its largest expected utility.
-    Two agents take the Pareto walk on Python floats: the agents' segment
-    masses on their merged grid and their utilities in label order, in
-    canonical order, with no `ProfileGeometry`.  Three or more take
-    Frank-Wolfe on the `geometry_for` tensor, in canonical order."""
-    concerned = profile.concerned
-    if len(concerned) == 1:
-        tensor = geometry_for(profile).tensor
-        return np.array([float(tensor.max(axis=1).sum(axis=0)[0])])
+    per concerned agent; `swf1` asks only with two or more.  Two agents
+    take the Pareto walk on Python floats: the agents' segment masses on
+    their merged grid and their utilities in label order, in canonical
+    order, with no `ProfileGeometry`.  Three or more take Frank-Wolfe on
+    the `geometry_for` tensor, in canonical order."""
     perm = _canonical_order(profile)
-    if len(concerned) == 2:
-        agents = [profile.agents[concerned[k]] for k in perm]
+    if len(perm) == 2:
+        agents = [profile.agents[profile.concerned[k]] for k in perm]
         bps = merged_breakpoints([p.belief for p in agents])
         labs = profile.space.labels
         x_canon = _pareto_walk(
@@ -419,10 +417,12 @@ def _nash_frank_wolfe(tensor: np.ndarray) -> np.ndarray:
 
 def swf1(profile: Profile) -> SwfResult:
     """Nash-weighted rule: utility weight of agent i is the product of the
-    other agents' coordinates at the bargaining point of the image."""
+    other agents' coordinates at the bargaining point of the image.  Below
+    two concerned agents that is `baru`: a lone agent at point s weighs
+    s / s, exactly 1.0, so no bargaining point is solved for."""
     concerned = profile.concerned
-    if not concerned:
-        return SwfResult(INDIFFERENT, None, None, (), (), ())
+    if len(concerned) < 2:
+        return baru(profile)
     point = _nash_point(profile)
     # sorted, so that relabelling the agents cannot reorder the product
     product = reduce(mul, sorted(point.tolist()))
@@ -548,8 +548,9 @@ def ex_ante_scores(profile: Profile, acts: Sequence[Act]) -> tuple[float, ...]:
 
 
 def geometric_pool(densities: Sequence[Density]) -> Density:
-    """Normalized geometric mean of densities.  Raises NullPool when the
-    product vanishes almost everywhere."""
+    """Normalized geometric mean of densities, scaled by
+    `discount_to_belief`.  Raises NullPool when the product vanishes
+    almost everywhere."""
     if not densities:
         raise ValueError("need at least one density")
     n = len(densities)
@@ -560,10 +561,10 @@ def geometric_pool(densities: Sequence[Density]) -> Density:
         for v in col:
             prod *= v
         vals.append(prod ** (1.0 / n) if prod > 0.0 else 0.0)
-    total = fsum(v * (bps[s + 1] - bps[s]) for s, v in enumerate(vals))
-    if total <= TOL_EXACT:
-        raise NullPool("pooled density integrates to zero")
-    return Density(bps, tuple(v / total for v in vals))
+    try:
+        return discount_to_belief(bps, vals)
+    except ZeroFunction:
+        raise NullPool("pooled density integrates to zero") from None
 
 
 # ---------------------------------------------------------------------------
@@ -585,20 +586,17 @@ def default_anchor(space) -> Preference:
     return Preference(Density.uniform(), ramp_utility(space))
 
 
-def rule_by_name(
-    name: str, anchor: Preference | None = None
-) -> Callable[[Profile], SwfResult]:
-    """Look up a rule as a profile -> result callable.  swf2 and swf3 take
-    an anchor/phantom preference; without one, the canonical anchor for
-    the profile's own outcome space is used."""
+def rule_by_name(name: str) -> Callable[[Profile], SwfResult]:
+    """Look up a rule as a profile -> result callable.  swf2 and swf3 use
+    the canonical anchor/phantom of the profile's own outcome space."""
     if name == "baru":
         return baru
     if name == "swf1":
         return swf1
     if name == "swf2":
-        return lambda pr: swf2(pr, anchor if anchor is not None else default_anchor(pr.space))
+        return lambda pr: swf2(pr, default_anchor(pr.space))
     if name == "swf3":
-        return lambda pr: swf3(pr, anchor if anchor is not None else default_anchor(pr.space))
+        return lambda pr: swf3(pr, default_anchor(pr.space))
     if name == "swf4":
         return swf4
     if name == "swf5":

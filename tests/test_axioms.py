@@ -707,3 +707,93 @@ def test_median_cut_matches_cdf_bisection(rng):
         Density((0.0, 0.25, 0.5, 1.0), (0.0, 2.0, 1.0)),
     ):
         assert _median_cut(d) == _median_cut_reference(d)
+
+
+def _restricted_view_reference(result, q, outcomes):
+    """The IRA check's restriction before it shared `_normalized_utility`:
+    its own (v - lo) / (hi - lo), into a dict."""
+    from baru.measure import TOL_EXACT, pushforward_coarsening
+
+    if result.preference.is_indifferent:
+        return None
+    raw = dict(result.raw_utility)
+    vals = [raw[o] for o in outcomes]
+    lo, hi = min(vals), max(vals)
+    if hi - lo <= TOL_EXACT:
+        return None
+    norm = {o: (raw[o] - lo) / (hi - lo) for o in outcomes}
+    return pushforward_coarsening(q, result.preference.belief), norm
+
+
+def test_restricted_view_matches_own_range_rule(rng):
+    from dataclasses import replace
+
+    from baru import RULE_NAMES
+    from baru.axioms import _restricted_view
+    from baru.harness import _merge_pairs_coarsening
+
+    rules = [rule_by_name(name) for name in RULE_NAMES]
+    coarsenings = (Coarsening.identity(), _merge_pairs_coarsening())
+    seen = {"view": 0, "flat": 0, "indifferent": 0}
+    for trial in range(2100):
+        profile = random_profile(rng)
+        if trial % 11 == 0:
+            # an agent and its reversal: baru's summed utility is flat
+            p = profile.agents[profile.concerned[0]]
+            twin = Preference(p.belief, reversal(p.utility))
+            profile = Profile(profile.space, (p, twin, INDIFFERENT))
+        result = rules[0 if trial % 11 == 0 else trial % len(rules)](profile)
+        labels = profile.space.labels
+        outs = tuple(rng.sample(labels, rng.randint(1, len(labels))))
+        if trial % 7 == 0 and not result.preference.is_indifferent:
+            # raw utilities spread by at most a few TOL_EXACT on the subset
+            base = rng.uniform(-1.0, 2.0)
+            spread = rng.choice((0.0, 5e-13, 1e-12, 2e-12, 1e-9))
+            raw = tuple((lab, base + rng.uniform(0.0, spread)) for lab in labels)
+            result = replace(result, raw_utility=raw)
+        q = coarsenings[trial % 2]
+        got = _restricted_view(result, q, outs)
+        want = _restricted_view_reference(result, q, outs)
+        assert (got is None) == (want is None)
+        if got is None:
+            seen["indifferent" if result.preference.is_indifferent else "flat"] += 1
+            continue
+        seen["view"] += 1
+        assert repr(got[0]) == repr(want[0])
+        assert [repr(v) for v in got[1].values_of(outs)] == [repr(want[1][o]) for o in outs]
+        assert set(got[1].labels) == set(outs)
+    assert min(seen.values()) > 20, seen
+
+
+def _tilted_reference(d: Density) -> Density:
+    """`_tilted` with its own rescaling, as before `discount_to_belief`."""
+    from math import fsum
+
+    from baru.axioms import _median_cut
+    from baru.measure import cell_values, merged_breakpoints
+
+    cut = _median_cut(d)
+    bps = merged_breakpoints([d], extra=[cut])
+    vals = []
+    for b, v in zip(bps[1:], cell_values(d, bps)):
+        scale = 1.5 if b <= cut + 1e-15 else 0.5
+        vals.append(v * scale)
+    total = fsum(v * (b - a) for v, (a, b) in zip(vals, zip(bps[:-1], bps[1:])))
+    return Density(bps, tuple(v / total for v in vals))
+
+
+def test_tilted_matches_own_rescaling(rng):
+    from baru.axioms import _tilted
+    from baru.harness import random_density
+
+    for trial in range(2100):
+        if trial % 2:
+            d = random_density(rng)
+        else:
+            cuts = sorted({rng.random() for _ in range(rng.randint(0, 6))} - {0.0})
+            bps = (0.0, *cuts, 1.0)
+            raw = [rng.choice((0.0, rng.uniform(0.01, 5.0))) for _ in range(len(bps) - 1)]
+            raw[rng.randrange(len(raw))] = rng.uniform(0.01, 5.0)
+            total = sum(v * (b - a) for v, a, b in zip(raw, bps[:-1], bps[1:]))
+            d = Density(bps, tuple(v / total for v in raw))
+        assert repr(_tilted(d)) == repr(_tilted_reference(d))

@@ -462,3 +462,56 @@ def test_module_entry_point_version():
     )
     assert proc.returncode == 0
     assert __version__ in proc.stdout
+
+
+def _with(**changes):
+    data = json.loads(json.dumps(TABLE1))
+    data.update(changes)
+    return data
+
+
+_MALFORMED = [
+    pytest.param(command, _with(grid=grid), argv, id=f"{command}-grid-{name}")
+    for command, argv in (
+        ("aggregate", []),
+        ("axiom-report", ["--trials", "1"]),
+        ("distance", ["--agent-a", "0", "--agent-b", "1"]),
+    )
+    for name, grid in (("zero", ["zero", 0.5, 1]), ("5", 5))
+] + [
+    pytest.param("aggregate", _with(outcomes=5), [], id="outcomes-5"),
+    pytest.param("aggregate", _with(agents=5), [], id="agents-5"),
+    pytest.param("aggregate", _with(params={"alpha": ["x"]}), ["--swf", "swf5"], id="alpha-x"),
+    pytest.param("aggregate", _with(params={"alpha": 3}), ["--swf", "swf5"], id="alpha-3"),
+    pytest.param(
+        "aggregate",
+        _with(params={"weights": {"belief": 5, "utility": [1, 1]}}),
+        ["--swf", "weighted"],
+        id="weights-belief-5",
+    ),
+    pytest.param("aggregate", _with(params={"anchor": [1, 2]}), ["--swf", "swf2"], id="anchor-list"),
+]
+
+
+@pytest.mark.parametrize("command, data, argv", _MALFORMED)
+def test_malformed_input_exits_2_with_one_diagnostic(tmp_path, capsys, command, data, argv):
+    path = _write(tmp_path, "bad.json", data)
+    files = [path, path] if command == "distance" else [path]
+    rc = main([command, *files, *argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in captured.err
+    assert json.loads(lines[0])["file"] == path
+
+
+def test_grid_file_and_witness_form_decode_alike(table1_file, tmp_path):
+    from baru import profile_as_dict, profile_from_dict
+
+    profile, _ = load_profile(table1_file)
+    blob = json.loads(json.dumps(profile_as_dict(profile)))
+    assert "grid" not in blob
+    via_file, _ = load_profile(_write(tmp_path, "blob.json", blob))
+    for other in (via_file, profile_from_dict(blob)):
+        assert other == profile and repr(other) == repr(profile)

@@ -482,3 +482,68 @@ def test_expected_violations_table_shape():
     assert EXPECTED_VIOLATIONS["baru"] == frozenset()
     for name, axs in EXPECTED_VIOLATIONS.items():
         assert axs <= set(MATRIX_AXIOMS)
+
+
+def _pairflat_density_reference(rng):
+    """`_pairflat_density` with its own rescaling, as before it called
+    `discount_to_belief`."""
+    from math import fsum
+
+    from baru import Density
+
+    raw = [rng.uniform(0.15, 2.0) for _ in range(8)]
+    total = fsum(v / 8.0 for v in raw)
+    vals = [v / total for v in raw]
+    bps = tuple(j / 8 for j in range(9))
+    return Density(bps, tuple(vals)), vals
+
+
+def test_pairflat_density_matches_own_rescaling():
+    from baru.harness import _pairflat_density
+
+    for seed in range(2100):
+        a, b = random.Random(seed), random.Random(seed)
+        d, vals = _pairflat_density(a)
+        d_ref, vals_ref = _pairflat_density_reference(b)
+        assert repr(d) == repr(d_ref)
+        assert repr(vals) == repr(vals_ref) and vals == list(d.values)
+        assert a.getstate() == b.getstate()
+
+
+def test_half_null_entry_does_not_decode():
+    belief = {"breakpoints": [0.0, 1.0], "values": [1.0]}
+    utility = {"a": 1.0, "b": 0.0, "c": 0.5, "d": 0.0}
+    for entry in ({"belief": None, "utility": utility}, {"belief": belief, "utility": None}):
+        with pytest.raises(ValueError):
+            preference_from_dict(entry)
+        data = {"outcomes": list(SPACE.labels), "agents": [entry, entry, entry]}
+        with pytest.raises(ValueError):
+            profile_from_dict(data)
+
+
+def test_rerun_witness_refuses_a_half_null_agent():
+    seed = child_seed(20240801, "swf4:anonymity", 0)
+    v = run_axiom_battery(rule_by_name("swf4"), "anonymity", 50, seed)
+    assert not v.satisfied
+    witness = json.loads(json.dumps(v.witness))
+    agents = witness["scenario"]["profile"]["agents"]
+    k = next(k for k, a in enumerate(agents) if a["belief"] is not None)
+    agents[k]["belief"] = None
+    with pytest.raises(ValueError):
+        rerun_witness(rule_by_name("swf4"), witness)
+
+
+def test_int_numbers_decode_to_the_float_profile():
+    ints = {
+        "outcomes": ["a", "b", "c", "d"],
+        "agents": [
+            {"belief": {"breakpoints": [0, 0.5, 1], "values": [2, 0]}, "utility": {"a": 1, "b": 0, "c": 0, "d": 0}},
+            {"belief": {"breakpoints": [0, 1], "values": [1]}, "utility": {"a": 0, "b": 1, "c": 1, "d": 0}},
+            {"belief": None, "utility": None},
+        ],
+    }
+    floats = json.loads(json.dumps(ints), parse_int=float)
+    got, want = profile_from_dict(ints), profile_from_dict(floats)
+    assert got == want and repr(got) == repr(want)
+    assert repr(got.agents[0].belief.breakpoints) == "(0.0, 0.5, 1.0)"
+    assert repr(preference_from_dict(ints["agents"][0])) == repr(want.agents[0])

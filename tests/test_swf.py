@@ -824,3 +824,71 @@ def test_default_anchor_built_once_per_space(table1):
     fresh = Preference(Density.uniform(), ramp_utility(profile.space))
     for name, rule in (("swf2", swf2), ("swf3", swf3)):
         assert rule_by_name(name)(profile) == rule(profile, fresh)
+
+
+def _geometric_pool_reference(densities):
+    """`geometric_pool` with its own rescaling, as before it called
+    `discount_to_belief`."""
+    from math import fsum
+
+    from baru.measure import TOL_EXACT, cell_values
+
+    n = len(densities)
+    bps = merged_breakpoints(densities)
+    vals = []
+    for col in zip(*(cell_values(d, bps) for d in densities)):
+        prod = 1.0
+        for v in col:
+            prod *= v
+        vals.append(prod ** (1.0 / n) if prod > 0.0 else 0.0)
+    total = fsum(v * (bps[s + 1] - bps[s]) for s, v in enumerate(vals))
+    if total <= TOL_EXACT:
+        raise NullPool("pooled density integrates to zero")
+    return Density(bps, tuple(v / total for v in vals))
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except NullPool as exc:
+        return f"NullPool({exc})"
+
+
+def test_geometric_pool_matches_own_rescaling(rng):
+    def density():
+        cuts = sorted({rng.randrange(1, 16) / 16 for _ in range(rng.randint(0, 4))})
+        bps = (0.0, *cuts, 1.0)
+        raw = [rng.choice((0.0, 0.0, rng.uniform(0.1, 3.0))) for _ in range(len(bps) - 1)]
+        raw[rng.randrange(len(raw))] = rng.uniform(0.1, 3.0)
+        total = sum(v * (b - a) for v, a, b in zip(raw, bps[:-1], bps[1:]))
+        return Density(bps, tuple(v / total for v in raw))
+
+    null = 0
+    for _ in range(2100):
+        ds = [density() for _ in range(rng.randint(1, 4))]
+        got = _outcome(geometric_pool, ds)
+        assert got == _outcome(_geometric_pool_reference, ds)
+        null += got.startswith("NullPool")
+    assert 100 < null < 2000
+    halves = (Density((0.0, 0.5, 1.0), (2.0, 0.0)), Density((0.0, 0.5, 1.0), (0.0, 2.0)))
+    with pytest.raises(NullPool, match="pooled density integrates to zero"):
+        geometric_pool(halves)
+
+
+def test_swf1_lone_agent_is_baru_without_geometry(monkeypatch):
+    from baru.harness import random_density, random_utility
+
+    def no_geometry(profile):
+        raise AssertionError("geometry_for called")
+
+    monkeypatch.setattr(swf_module, "geometry_for", no_geometry)
+    rng = random.Random(4401)
+    for _ in range(300):
+        lone = Preference(random_density(rng), random_utility(rng, SPACE))
+        slot = rng.randrange(3)
+        agents = tuple(lone if k == slot else INDIFFERENT for k in range(3))
+        profile = Profile(SPACE, agents)
+        got, want = swf1(profile), baru(profile)
+        assert got == want and repr(got) == repr(want)
+    nobody = Profile(SPACE, (INDIFFERENT,) * 3)
+    assert repr(swf1(nobody)) == repr(baru(nobody))
