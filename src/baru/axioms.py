@@ -9,8 +9,9 @@ checkers live in `harness`.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import sub
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,6 +37,7 @@ from .measure import (
     cell_values,
     merged_breakpoints,
     pushforward_coarsening,
+    segment_masses,
 )
 from .prefs import (
     Act,
@@ -115,13 +117,16 @@ class CoRedundancyCertificate:
     the listed outcomes already span the full utility image.
 
     `method` is "exact" when `residual` bounds the support gap over every
-    direction (one or two concerned agents), "sampled" when it is the
+    unit direction (one or two concerned agents), "sampled" when it is the
     largest gap over `directions` probing directions only.  `directions`
     is 0 when the two images were shown equal without probing any
-    direction (two agents, identity coarsening, the outcome hull spanned
-    by the subset); `residual` is then 0.0, though an off-subset outcome
-    at a turn the hull takes as straight (sine at most 1e-14,
-    `geometry._hull2d`) may lie just outside it, unmeasured."""
+    direction: two agents whose outcome hull is spanned by the subset,
+    with `residual` the fiber bound of `certify_coredundancy`.  That bound
+    is 0.0 under the identity coarsening and of rounding size where a
+    coarsening keeps each fiber's masses proportional (at most 1.4e-16 on
+    the IRA battery's merge-pairs streams).  Either way an off-subset
+    outcome at a turn the hull takes as straight (sine at most 1e-14,
+    `geometry._hull2d`) may lie just outside, unmeasured."""
 
     coarsening: Coarsening
     outcomes: tuple[str, ...]
@@ -182,6 +187,60 @@ def _exact_support_gap(
     return dirs, gaps, float(bound.max())
 
 
+def _fiber_residual(
+    q: Coarsening, beliefs: Sequence[Density], pushed: Sequence[Density]
+) -> float:
+    """Sum over the fibers of q of how far the two agents' source masses
+    are from proportional, plus how far each fiber's total is from the
+    pushed masses: the bound of `certify_coredundancy`.
+
+    The source cells cut each piece's interval at both beliefs' breakpoints
+    and at the pull-backs of the pushed grid's points, so each cell s
+    carries masses D_s and maps into one cell t of that grid, whose pushed
+    masses are D_t.  With E_t = sum of D_s over s -> t,
+    c_s = 1'D_s / 1'E_t and e_s = D_s - c_s E_t, the residual is
+    sum_s |e_s|_1 + sum_t |E_t - D_t|_1.  The identity coarsening pushes
+    each belief to itself; every fiber is then one cell with its own
+    masses, and the residual is 0.0 without a walk."""
+    (d1, d2), (p1, p2) = beliefs, pushed
+    if p1 is d1 and p2 is d2:
+        return 0.0
+    grid = merged_breakpoints(pushed)
+    t1, t2 = segment_masses(p1, grid), segment_masses(p2, grid)
+    pulled = []
+    for sa, sb, ta, tb, orient in q.pieces:
+        pulled.append(sa)
+        inner = grid[bisect_right(grid, ta) : bisect_left(grid, tb)]
+        if inner:
+            slope = (tb - ta) / (sb - sa)
+            pulled += [sa + (t - ta) / slope if orient > 0 else sb - (t - ta) / slope for t in inner]
+    src = merged_breakpoints(beliefs, pulled)
+    m1, m2 = segment_masses(d1, src), segment_masses(d2, src)
+    e1, e2 = [0.0] * len(t1), [0.0] * len(t2)
+    fiber = []  # the target cell of each source cell
+    pieces = iter(q.pieces)
+    sb = 0.0
+    for a, b, x1, x2 in zip(src, src[1:], m1, m2):
+        if a >= sb:  # every piece starts at a point of src
+            sa, sb, ta, tb, orient = next(pieces)
+            slope = (tb - ta) / (sb - sa)
+            lo, hi = bisect_left(grid, ta), bisect_left(grid, tb)
+        # the piece's target cell that holds the image of the midpoint
+        mid = 0.5 * (a + b)
+        y = ta + (mid - sa) * slope if orient > 0 else ta + (sb - mid) * slope
+        k = bisect_right(grid, y, lo + 1, hi) - 1
+        fiber.append(k)
+        e1[k] += x1
+        e2[k] += x2
+    residual = sum(map(abs, map(sub, e1, t1))) + sum(map(abs, map(sub, e2, t2)))
+    for k, x1, x2 in zip(fiber, m1, m2):
+        # |e_s|_1 = 2 |D_s1 E_t2 - D_s2 E_t1| / 1'E_t
+        total = e1[k] + e2[k]
+        if total > 0.0:
+            residual += 2.0 * abs(x1 * e2[k] - x2 * e1[k]) / total
+    return residual
+
+
 def certify_coredundancy(
     profile: Profile, q: Coarsening, outcomes: Sequence[str]
 ) -> CoRedundancyCertificate | Refused:
@@ -192,17 +251,24 @@ def certify_coredundancy(
     certified bound between them); with more it is sampled over
     `direction_set`.
 
-    Two agents under the identity coarsening are first tried by a hull
-    test.  Both images then live on one grid: cell s adds D_s conv(U) to
-    the full image and D_s conv(U_O) to the restricted one, where D_s is
-    the diagonal of the agents' masses on s, U holds the utility points
-    of all outcomes and U_O those of the subset.  Support functions add
-    over Minkowski summands and each restricted term is at most its full
-    term, so when every vertex of conv(U) is a subset outcome's point the
-    images are equal.  Otherwise the kink directions decide, and give a
-    refusal its direction.  conv(U) is `geometry._hull2d`'s hull, which
-    takes turns of sine at most 1e-14 as straight, so an outcome at such a
-    turn does not stop the certificate though it may lie just outside."""
+    Two agents are first tried by a fiber bound, under any coarsening.
+    The full image is the sum over source cells s of D_s conv(U), the
+    restricted one the sum over pushed cells t of D_t conv(U_O), where D
+    is the diagonal of the two agents' masses on a cell, U holds the
+    utility points of all outcomes and U_O those of the subset
+    (`_fiber_residual` builds the cells, and E_t, c_s and e_s).  When
+    every vertex of conv(U) is a subset outcome's point, h_U = h_{U_O}.
+    Support functions add over Minkowski summands and are sublinear, and
+    utilities lie in [0, 1] (to within TOL_EXACT, a factor 1 + 1e-12 on
+    what follows), so h_{U_O} moves by at most |a - b|_1 between
+    directions a and b.  Splitting each D_s into c_s E_t + e_s then bounds
+    the support gap at every unit direction by the residual
+    sum_s |e_s|_1 + sum_t |E_t - D_t|_1.  A residual of at
+    most TOL_MEASURE certifies without probing a direction.  Otherwise the
+    kink directions decide, and give a refusal its direction.  conv(U) is
+    `geometry._hull2d`'s hull, which takes turns of sine at most 1e-14 as
+    straight, so an outcome at such a turn does not stop the certificate
+    though it may lie just outside."""
     outs = tuple(outcomes)
     if not outs:
         raise ValueError("outcome subset must be non-empty")
@@ -212,18 +278,23 @@ def certify_coredundancy(
     ids = profile.concerned
     if not ids:
         raise ValueError("certification needs a concerned agent")
+    agents = profile.agents
     push = []
     for i in ids:
         try:
-            push.append((i, pushforward_coarsening(q, profile.agents[i].belief)))
+            push.append((i, pushforward_coarsening(q, agents[i].belief)))
         except (ValueError, ZeroDivisionError) as exc:
             return Refused("improper-pushforward", f"agent {i}: {exc}")
-    if len(ids) == 2 and all(d is profile.agents[i].belief for i, d in push):
-        u, v = (profile.agents[i].utility for i in ids)
+    push = tuple(push)
+    if len(ids) == 2:
+        (i, d1), (j, d2) = push
+        u, v = agents[i].utility, agents[j].utility
         points = [(u.value(lab), v.value(lab)) for lab in profile.space.labels]
         kept = {(u.value(lab), v.value(lab)) for lab in outs}
         if all(p in kept for p in _hull2d(points)):
-            return CoRedundancyCertificate(q, outs, tuple(push), 0.0, "exact", 0)
+            residual = _fiber_residual(q, (agents[i].belief, agents[j].belief), (d1, d2))
+            if residual <= TOL_MEASURE:
+                return CoRedundancyCertificate(q, outs, push, residual, "exact", 0)
     full = geometry_for(profile)
     restricted = geometry_for(profile, q, outs, dict(push))
     if len(ids) == 2:
@@ -245,7 +316,7 @@ def certify_coredundancy(
             method,
             len(dirs),
         )
-    return CoRedundancyCertificate(q, outs, tuple(push), residual, method, len(dirs))
+    return CoRedundancyCertificate(q, outs, push, residual, method, len(dirs))
 
 
 # ---------------------------------------------------------------------------

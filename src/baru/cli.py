@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from math import inf
 from typing import Callable, Mapping, Sequence
 
 from . import __version__
@@ -171,10 +172,11 @@ def build_rule(name: str, params: Mapping, path_hint: str) -> Swf:
         seq = params.get("alpha")
         if seq is None:
             return rule_by_name("swf5")
-        with _decoding("params.alpha must be positive numbers", file=path_hint):
+        with _decoding("params.alpha must be positive finite numbers", file=path_hint):
             alphas = tuple(map(float, seq))
-        if not alphas or any(a <= 0.0 for a in alphas):
-            raise _fail("params.alpha must be positive numbers", file=path_hint)
+        # json reads NaN and Infinity, which no comparison with 0.0 rejects
+        if not alphas or not all(0.0 < a < inf for a in alphas):
+            raise _fail("params.alpha must be positive finite numbers", file=path_hint)
 
         def alpha(m: int) -> float:
             if m > len(alphas):

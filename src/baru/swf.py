@@ -137,7 +137,8 @@ def baru(profile: Profile) -> SwfResult:
 
 @dataclass(frozen=True)
 class WeightedAggregation:
-    """Positive per-agent weights for beliefs and utilities separately."""
+    """Positive finite per-agent weights for beliefs and utilities
+    separately."""
 
     belief: tuple[float, ...]
     utility: tuple[float, ...]
@@ -145,8 +146,8 @@ class WeightedAggregation:
     def __post_init__(self) -> None:
         if len(self.belief) != len(self.utility):
             raise ValueError("weight vectors must have equal length")
-        if any(w <= 0.0 for w in self.belief) or any(w <= 0.0 for w in self.utility):
-            raise ValueError("weights must be strictly positive")
+        if not all(0.0 < w < inf for w in self.belief + self.utility):
+            raise ValueError("weights must be positive and finite")
 
 
 def weighted(profile: Profile, weights: WeightedAggregation) -> SwfResult:
@@ -516,8 +517,8 @@ def swf5(profile: Profile, alpha: Callable[[int], float] | None = None) -> SwfRe
     contribs = []
     for grp in groups:
         w = a(len(grp))
-        if w <= 0.0:
-            raise ValueError("multiplicity weights must be positive")
+        if not 0.0 < w < inf:
+            raise ValueError("multiplicity weights must be positive and finite")
         for i in grp:
             contribs.append((i, profile.agents[i], w / len(grp), w / len(grp)))
     return _merge(profile, contribs)

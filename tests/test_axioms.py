@@ -41,13 +41,15 @@ from baru.axioms import (
     Refused,
     ScenarioRejected,
     _exact_support_gap,
+    _fiber_residual,
     certify_coredundancy,
 )
 from baru import axioms as axioms_module
 from baru import harness, lp
-from baru.geometry import geometry_for, support_values
+from baru.geometry import _hull2d, geometry_for, support_values
 from baru.harness import child_seed, ira_scenario, random_profile, random_utility, reversal
-from baru.measure import TOL_MEASURE
+from baru.measure import TOL_MEASURE, pushforward_coarsening
+from baru.prefs import discount_to_belief
 
 SPACE = OutcomeSpace(("a", "b", "c", "d"))
 
@@ -360,11 +362,11 @@ def test_certify_exact_residual_bounds_dense_gap():
     assert refused and certified
 
 
-def _kink_path_certifies(profile, outcomes) -> bool:
-    """The kink-direction decision for two agents under the identity
-    coarsening, without the hull test in front of it."""
+def _kink_path_certifies(profile, outcomes, q=None) -> bool:
+    """The kink-direction decision for two agents under the coarsening q
+    (the identity when None), without the fiber bound in front of it."""
     full = geometry_for(profile)
-    _, _, residual = _exact_support_gap(full, geometry_for(profile, None, outcomes))
+    _, _, residual = _exact_support_gap(full, geometry_for(profile, q, outcomes))
     return residual <= TOL_MEASURE
 
 
@@ -471,6 +473,195 @@ def test_certify_mutually_singular_beliefs():
     cert = certify_coredundancy(prof, Coarsening.identity(), ("a", "b", "c"))
     assert isinstance(cert, CoRedundancyCertificate)
     assert cert.method == "exact" and cert.directions > 0
+
+
+
+def _fibered_coarsening(rng: random.Random) -> Coarsening:
+    """Up to five pieces, forwards or reversed, with dyadic or arbitrary
+    source ends; their targets tile [0, 1), the spare pieces land anywhere
+    and some targets widen, so fibers often gather several pieces."""
+    k = rng.randint(1, 5)
+    if rng.random() < 0.5:
+        cuts = {rng.randrange(1, 32) / 32 for _ in range(k - 1)}
+    else:
+        cuts = {rng.uniform(0.01, 0.99) for _ in range(k - 1)}
+    src = sorted(cuts | {0.0, 1.0})
+    k = len(src) - 1
+    tiles = sorted({rng.randrange(1, 16) / 16 for _ in range(rng.randint(0, k - 1))} | {0.0, 1.0})
+    targets = list(zip(tiles, tiles[1:]))
+    while len(targets) < k:
+        a, b = sorted(rng.sample(range(17), 2))
+        targets.append((a / 16, b / 16))
+    rng.shuffle(targets)
+    pieces = []
+    for sa, sb, (ta, tb) in zip(src, src[1:], targets):
+        if rng.random() < 0.2:
+            ta, tb = ta * rng.random(), tb + (1.0 - tb) * rng.random()
+        pieces.append((sa, sb, ta, tb, rng.choice((1, -1))))
+    return Coarsening(tuple(pieces))
+
+
+def _pulled_back(q: Coarsening, g: Density, weights) -> Density:
+    """weights[p] * g(q(x)) * |q'(x)| on piece p, rescaled to a belief: its
+    pushforward is g reweighted by the pieces over each point, and every
+    fiber's masses are in proportion to the pieces' weights."""
+    pts = {0.0, 1.0}
+    for sa, sb, ta, tb, orient in q.pieces:
+        pts.add(sa)
+        slope = (tb - ta) / (sb - sa)
+        for u in g.breakpoints:
+            if ta < u < tb:
+                x = sa + (u - ta) / slope if orient > 0 else sb - (u - ta) / slope
+                if 0.0 < x < 1.0:
+                    pts.add(x)
+    bps = sorted(pts)
+    vals = []
+    for a, b in zip(bps, bps[1:]):
+        mid = 0.5 * (a + b)
+        p = max(k for k, piece in enumerate(q.pieces) if piece[0] <= mid)
+        sa, sb, ta, tb, orient = q.pieces[p]
+        slope = (tb - ta) / (sb - sa)
+        y = ta + (mid - sa) * slope if orient > 0 else ta + (sb - mid) * slope
+        vals.append(weights[p] * g.value_at(y) * slope)
+    return discount_to_belief(bps, vals)
+
+
+def _random_target(rng: random.Random) -> Density:
+    """A density on up to five cells, with dyadic or arbitrary cuts."""
+    cuts = {rng.choice((rng.random(), rng.randrange(1, 16) / 16)) for _ in range(rng.randint(0, 4))}
+    bps = (0.0, *sorted(cuts - {0.0}), 1.0)
+    return discount_to_belief(bps, [rng.uniform(0.1, 2.0) for _ in bps[1:]])
+
+
+def _fibered_case(rng: random.Random) -> tuple[Profile, Coarsening, tuple[str, ...], bool]:
+    """Two agents whose beliefs pull random densities back through a random
+    coarsening with shared piece weights, so that every fiber carries
+    proportional masses, except where one agent's weight on one piece is
+    tilted; utilities and subset as in `_two_agent_case`, the subset often
+    holding every hull vertex.  The flag tells whether nothing was tilted."""
+    q = _fibered_coarsening(rng)
+    weights = [rng.uniform(0.2, 2.0) for _ in q.pieces]
+    tilted = list(weights)
+    if rng.random() < 0.3:
+        tilted[rng.randrange(len(q.pieces))] *= 1.0 + rng.choice((1e-12, 1e-6, 0.3))
+    beliefs = [_pulled_back(q, _random_target(rng), w) for w in (weights, tilted)]
+    profile, subset = _two_agent_case(rng)
+    utilities = [a.utility for a in profile.agents if not a.is_indifferent]
+    if rng.random() < 0.2:
+        # the unit square's corners span every scaled image alike, so the
+        # images agree whether or not the fibers are proportional
+        labels = profile.space.labels
+        corners = dict(zip(labels, ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))))
+        utilities = [
+            Utility({lab: corners.get(lab, (rng.random(), rng.random()))[k] for lab in labels})
+            for k in (0, 1)
+        ]
+    profile = Profile(
+        profile.space,
+        (Preference(beliefs[0], utilities[0]), INDIFFERENT, Preference(beliefs[1], utilities[1])),
+    )
+    if rng.random() < 0.5:
+        u, v = (profile.agents[i].utility for i in profile.concerned)
+        hull = set(_hull2d([(u.value(lab), v.value(lab)) for lab in profile.space.labels]))
+        subset = tuple(
+            lab
+            for lab in profile.space.labels
+            if lab in subset or (u.value(lab), v.value(lab)) in hull
+        )
+    return profile, q, subset, tilted == weights
+
+
+def test_certify_fiber_bound_decision_matches_kink_path():
+    # the fiber bound decides before the kink path; both must agree, on the
+    # IRA battery's merge-pairs scenarios and on random coarsenings
+    rng = random.Random(151515)
+    tally = {"fiber": 0, "kink-certified": 0, "refused": 0, "merge": 0}
+    cases = draws = 0
+    while cases < 2400:
+        draws += 1
+        if draws % 6 == 0:
+            try:
+                p, p2, q, outs = ira_scenario(rng, "merge")
+            except ScenarioRejected:
+                continue
+            k = rng.randrange(len(outs))
+            batch = [(p, q, outs, True), (p2, q, outs, True), (p, q, outs[:k] + outs[k + 1 :], True)]
+            tally["merge"] += 3
+        else:
+            batch = [_fibered_case(rng)]
+        for profile, q, subset, proportional in batch:
+            cases += 1
+            if proportional:
+                # the bound is tight where it claims to be: rounding only
+                beliefs = [profile.agents[i].belief for i in profile.concerned]
+                pushed = [pushforward_coarsening(q, d) for d in beliefs]
+                assert _fiber_residual(q, beliefs, pushed) <= 1e-12
+            out = certify_coredundancy(profile, q, subset)
+            assert isinstance(out, CoRedundancyCertificate) == _kink_path_certifies(profile, subset, q)
+            assert out.method == "exact"
+            if isinstance(out, Refused):
+                tally["refused"] += 1
+                assert out.directions > 0
+            elif out.directions == 0:
+                tally["fiber"] += 1
+                assert out.residual <= TOL_MEASURE
+            else:
+                tally["kink-certified"] += 1
+    assert min(tally.values()) >= 20, tally
+
+
+def test_fiber_residual_walk_is_zero_on_identity():
+    # beliefs pushed to equal copies, not to themselves: the walk runs, every
+    # fiber is one cell with its own masses, and the residual is exactly 0.0
+    rng = random.Random(1616)
+    for _ in range(200):
+        profile, _ = _two_agent_case(rng)
+        beliefs = [profile.agents[i].belief for i in profile.concerned]
+        copies = [Density(d.breakpoints, d.values) for d in beliefs]
+        assert _fiber_residual(Coarsening.identity(), beliefs, copies) == 0.0
+
+
+def test_fiber_residual_counts_pushed_masses_off_the_fiber_totals():
+    # pairflat beliefs have proportional fibers under merge-pairs, so only
+    # the fiber totals' distance from the given pushed masses is left
+    rng = random.Random(1818)
+    q = harness._merge_pairs_coarsening()
+    beliefs = [harness._pairflat_density(rng)[0] for _ in range(2)]
+    others = [harness._pairflat_density(rng)[0] for _ in range(2)]
+    residual = _fiber_residual(q, beliefs, [pushforward_coarsening(q, d) for d in others])
+    cells = [(j / 8, (j + 1) / 8) for j in range(8)]
+    want = sum(abs(d.mass(a, b) - e.mass(a, b)) for d, e in zip(beliefs, others) for a, b in cells)
+    assert residual == pytest.approx(want, rel=1e-12) and want > 0.1
+
+
+def test_certify_proportional_fibers_off_subset_vertex_takes_kink_path():
+    # pairflat beliefs under merge-pairs: every fiber's masses are
+    # proportional, but d = (1, 1) is a hull vertex outside the subset
+    rng = random.Random(1717)
+    q = harness._merge_pairs_coarsening()
+    d1, d2 = harness._pairflat_density(rng)[0], harness._pairflat_density(rng)[0]
+    prof = _uv_profile(
+        {"a": 0.0, "b": 1.0, "c": 0.3, "d": 1.0}, {"a": 0.0, "b": 0.2, "c": 1.0, "d": 1.0}, d1, d2
+    )
+    pushed = [pushforward_coarsening(q, d) for d in (d1, d2)]
+    assert _fiber_residual(q, (d1, d2), pushed) <= 1e-15
+    cert = certify_coredundancy(prof, q, ("a", "b", "c", "d"))
+    assert isinstance(cert, CoRedundancyCertificate) and cert.directions == 0
+    out = certify_coredundancy(prof, q, ("a", "b", "c"))
+    assert isinstance(out, Refused) and out.directions > 0
+    assert out.residual > TOL_MEASURE
+
+
+def test_certify_table1_fold_fiber_bound_falls_through(table1):
+    # each half's fiber pairs (0.45, 0.05) with (0.05, 0.45): far from
+    # proportional, so the kink path decides, and refuses
+    profile, _, _ = table1
+    fold = Coarsening(((0.0, 0.5, 0.0, 1.0, 1), (0.5, 1.0, 0.0, 1.0, 1)))
+    beliefs = [profile.agents[i].belief for i in profile.concerned]
+    residual = _fiber_residual(fold, beliefs, [pushforward_coarsening(fold, d) for d in beliefs])
+    assert residual == pytest.approx(1.6)
+    out = certify_coredundancy(profile, fold, profile.space.labels)
+    assert isinstance(out, Refused) and out.reason == "image-mismatch" and out.directions > 0
 
 
 # -- restricted Pareto ---------------------------------------------------------

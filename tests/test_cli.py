@@ -6,6 +6,7 @@ written under tmp_path.
 """
 
 import json
+import math
 import subprocess
 import sys
 
@@ -515,3 +516,25 @@ def test_grid_file_and_witness_form_decode_alike(table1_file, tmp_path):
     via_file, _ = load_profile(_write(tmp_path, "blob.json", blob))
     for other in (via_file, profile_from_dict(blob)):
         assert other == profile and repr(other) == repr(profile)
+
+
+@pytest.mark.parametrize(
+    "params, swf",
+    [
+        ({"alpha": [math.nan]}, "swf5"),
+        ({"weights": {"belief": [math.nan, 1], "utility": [1, 1]}}, "weighted"),
+        ({"weights": {"belief": [1, 1], "utility": [math.inf, 1]}}, "weighted"),
+    ],
+    ids=["alpha-nan", "weights-nan", "weights-infinity"],
+)
+def test_non_finite_weights_exit_2_with_one_diagnostic(tmp_path, capsys, params, swf):
+    # json writes and reads these as NaN and Infinity; the rule must not run
+    path = _write(tmp_path, "nonfinite.json", _with(params=params))
+    assert ("NaN" if "nan" in repr(params) else "Infinity") in open(path).read()
+    rc = main(["aggregate", path, "--swf", swf])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in captured.err
+    assert json.loads(lines[0])["file"] == path

@@ -1,6 +1,7 @@
 """Event algebra, piecewise-constant densities, exact-split events, and
 measurable coarsenings."""
 
+import bisect
 import math
 import random
 
@@ -23,7 +24,8 @@ from baru import (
     pushforward_coarsening,
     segment_masses,
 )
-from baru.measure import cell_values, interval_masses
+from baru.harness import _merge_pairs_coarsening, _pairflat_density
+from baru.measure import _values_along, cell_values, interval_masses
 
 
 def test_eventset_complement_partitions_unit_interval():
@@ -400,3 +402,59 @@ def test_identity_pushforward_is_the_density_itself():
         out = pushforward_coarsening(Coarsening.identity(), d)
         assert out is d
         assert _pushforward_reference(Coarsening.identity(), d) == d
+
+
+def _pushforward_per_piece_reference(q: Coarsening, density: Density) -> Density:
+    """The per-piece loop that the one-pass `pushforward_coarsening`
+    replaces: a `_values_along` walk from the first breakpoint for every
+    piece, its values added piece by piece."""
+    if q == Coarsening.identity():
+        return density
+    pts = {0.0, 1.0}
+    for sa, sb, ta, tb, orient in q.pieces:
+        pts.add(ta)
+        pts.add(tb)
+        slope = (tb - ta) / (sb - sa)
+        for u in density.breakpoints:
+            if sa < u < sb:
+                pts.add(ta + (u - sa) * slope if orient > 0 else ta + (sb - u) * slope)
+    bps = tuple(sorted(pts))
+    mids = [0.5 * (a + b) for a, b in zip(bps[:-1], bps[1:])]
+    values = [0.0] * len(mids)
+    for sa, sb, ta, tb, orient in q.pieces:
+        lo, hi = bisect.bisect_left(mids, ta), bisect.bisect_left(mids, tb)
+        slope = (tb - ta) / (sb - sa)
+        if orient > 0:
+            srcs = [sa + (mid - ta) / slope for mid in mids[lo:hi]]
+            dens = _values_along(density.breakpoints, density.values, srcs)
+        else:
+            srcs = [sb - (mid - ta) / slope for mid in mids[lo:hi]]
+            dens = _values_along(density.breakpoints, density.values, reversed(srcs))[::-1]
+        for k, v in enumerate(dens, lo):
+            values[k] += v / slope
+    return Density(bps, tuple(values))
+
+
+def _float_density(rng: random.Random) -> Density:
+    """Breakpoints anywhere in (0, 1), not only on a dyadic grid."""
+    cuts = sorted({rng.random() for _ in range(rng.randint(0, 8))} - {0.0})
+    bps = (0.0, *cuts, 1.0)
+    raw = [rng.uniform(0.05, 3.0) for _ in range(len(bps) - 1)]
+    total = math.fsum(v * (b - a) for v, a, b in zip(raw, bps[:-1], bps[1:]))
+    return Density(bps, tuple(v / total for v in raw))
+
+
+def test_pushforward_bits_match_per_piece_loop():
+    rng = random.Random(1515)
+    merge = _merge_pairs_coarsening()
+    seen = dict.fromkeys(("reversed", "overlap", "inner", "merge"), 0)
+    for n in range(2400):
+        d = (_random_density, _float_density, lambda r: _pairflat_density(r)[0])[n % 3](rng)
+        q = merge if n % 4 == 0 else _random_coarsening(rng)
+        out = pushforward_coarsening(q, d)
+        assert repr(out) == repr(_pushforward_per_piece_reference(q, d))
+        seen["merge"] += q is merge
+        seen["reversed"] += any(p[4] < 0 for p in q.pieces)
+        seen["overlap"] += sum(tb - ta for _, _, ta, tb, _ in q.pieces) > 1.0
+        seen["inner"] += any(sa < u < sb for sa, sb, *_ in q.pieces for u in d.breakpoints)
+    assert min(seen.values()) >= 400, seen
