@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from operator import sub
+from functools import reduce
+from operator import add, sub
 from typing import Callable, Sequence
 
 import numpy as np
@@ -232,7 +233,8 @@ def _fiber_residual(
         fiber.append(k)
         e1[k] += x1
         e2[k] += x2
-    residual = sum(map(abs, map(sub, e1, t1))) + sum(map(abs, map(sub, e2, t2)))
+    residual = reduce(add, map(abs, map(sub, e1, t1)), 0.0)
+    residual += reduce(add, map(abs, map(sub, e2, t2)), 0.0)
     for k, x1, x2 in zip(fiber, m1, m2):
         # |e_s|_1 = 2 |D_s1 E_t2 - D_s2 E_t1| / 1'E_t
         total = e1[k] + e2[k]

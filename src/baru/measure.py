@@ -43,11 +43,12 @@ class Infeasible(Exception):
 
 def _merge_intervals(pairs: Iterable[tuple[float, float]]) -> list[list[float]]:
     """Sorted union of intervals: each one that overlaps or touches the
-    last merged piece extends it."""
+    last merged piece extends it.  A NaN end is kept, for the caller's
+    checks to refuse."""
     merged: list[list[float]] = []
     for a, b in sorted(pairs):
         if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
+            merged[-1][1] = max(b, merged[-1][1])
         else:
             merged.append([a, b])
     return merged
@@ -75,17 +76,12 @@ class EventSet:
 
     @staticmethod
     def from_intervals(pairs: Iterable[tuple[float, float]]) -> "EventSet":
-        out: list[list[float]] = []
-        for a, b in sorted((float(a), float(b)) for a, b in pairs):
-            if b <= a:
-                continue
-            if out and a < out[-1][1]:
-                raise ValueError("intervals overlap")
-            if out and a == out[-1][1]:
-                out[-1][1] = b
-            else:
-                out.append([a, b])
-        return EventSet(tuple((a, b) for a, b in out))
+        """The event of pieces given in any order: empty pieces are
+        dropped, overlapping neighbours refused, touching ones merged."""
+        pieces = [(a, b) for a, b in sorted((float(a), float(b)) for a, b in pairs) if not b <= a]
+        if any(a < b for (_, b), (a, _) in zip(pieces, pieces[1:])):
+            raise ValueError("intervals overlap")
+        return EventSet(tuple(map(tuple, _merge_intervals(pieces))))
 
     @property
     def length(self) -> float:
@@ -140,7 +136,6 @@ class EventSet:
         return EventSet.from_intervals(tuple((a, b) for a, b in data["intervals"]))
 
 
-EventSet.EMPTY = EventSet(())
 EventSet.FULL = EventSet(((0.0, 1.0),))
 
 

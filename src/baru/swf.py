@@ -11,12 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import atan2, fsum, inf, sqrt
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .geometry import geometry_for, segment_hulls
+from .geometry import segment_hulls
 from .measure import (
     Density,
     TOL_EXACT,
@@ -230,27 +228,26 @@ def _canonical_order(profile: Profile) -> list[int]:
     return [k[-1] for k in sorted(keys)]
 
 
-def _nash_point(profile: Profile) -> np.ndarray:
+def _nash_point(profile: Profile) -> list[float]:
     """The bargaining point of the concerned agents' image, one coordinate
-    per concerned agent; `swf1` asks only with two or more.  Two agents
-    take the Pareto walk on Python floats: the agents' segment masses on
-    their merged grid and their utilities in label order, in canonical
-    order, with no `ProfileGeometry`.  Three or more take Frank-Wolfe on
-    the `geometry_for` tensor, in canonical order."""
+    per concerned agent; `swf1` asks only with two or more.  The solvers
+    read the agents' segment masses on their merged grid and their
+    utilities in label order, in canonical order, on Python floats.  Two
+    agents take the Pareto walk; three or more take Frank-Wolfe on the
+    products masses[i][s] * utils[i][x], the bits of `geometry_for`'s
+    tensor, one row per agent and segment after segment."""
     perm = _canonical_order(profile)
+    agents = [profile.agents[profile.concerned[k]] for k in perm]
+    bps = merged_breakpoints([p.belief for p in agents])
+    labs = profile.space.labels
+    masses = [segment_masses(p.belief, bps) for p in agents]
+    utils = [p.utility.values_of(labs) for p in agents]
     if len(perm) == 2:
-        agents = [profile.agents[profile.concerned[k]] for k in perm]
-        bps = merged_breakpoints([p.belief for p in agents])
-        labs = profile.space.labels
-        x_canon = _pareto_walk(
-            [segment_masses(p.belief, bps) for p in agents],
-            [p.utility.values_of(labs) for p in agents],
-        )
+        x_canon = _pareto_walk(masses, utils)
     else:
-        x_canon = _nash_frank_wolfe(np.ascontiguousarray(geometry_for(profile).tensor[:, :, perm]))
-    out = np.empty(len(perm))
-    out[perm] = x_canon
-    return out
+        rows = [[m * u for m in ms for u in us] for ms, us in zip(masses, utils)]
+        x_canon = _nash_frank_wolfe(rows, len(labs))
+    return [x for _, x in sorted(zip(perm, x_canon))]
 
 
 # Rounds of the fully corrective loop before the solve gives up; each
@@ -338,10 +335,20 @@ def _newton_step(cols: list[list[float]], n: int) -> tuple[list[float], float]:
     return step, decrement
 
 
+def _best_vertex(rows: list[list[float]], width: int, scores: list[float]) -> list[float]:
+    """The image vertex that takes, in each segment of `width` outcomes,
+    the point of the first outcome of highest score, as `argmax` picks it.
+    rows[i] holds agent i's products segment after segment, and the sum
+    over segments is a left fold."""
+    segs = zip(*[iter(scores)] * width)
+    picks = [k * width + seg.index(max(seg)) for k, seg in enumerate(segs)]
+    return [reduce(add, map(row.__getitem__, picks)) for row in rows]
+
+
 # The benchmark (perfbench/) traces this solver by name as `swf.nash`, so
-# it stays a module global that takes the (S, X, n) tensor and returns the
-# point.
-def _nash_frank_wolfe(tensor: np.ndarray) -> np.ndarray:
+# it stays a module global that takes `_nash_point`'s rows of products and
+# returns the point.
+def _nash_frank_wolfe(rows: list[list[float]], width: int) -> list[float]:
     """Maximise sum(log x_i) over the image polytope.
 
     Fully corrective Frank-Wolfe (simplicial decomposition; Lacoste-Julien
@@ -355,21 +362,22 @@ def _nash_frank_wolfe(tensor: np.ndarray) -> np.ndarray:
     1e-12 * n, and `DegenerateNashPoint` is raised when the rounds run out
     first.
 
-    The Newton loop runs on Python floats: at most a handful of vertices
-    in a few dimensions, where numpy's per-call cost outweighs the
-    arithmetic.  Every float sum is a left fold, never the builtin `sum`,
-    which compensates from Python 3.12 on and would make the point depend
-    on the interpreter.
+    The solve runs on Python floats, the oracle included, so no BLAS
+    kernel reaches the point's bits.  The oracle scores each product point
+    by a left fold over agents, c[0] * p[0] + c[1] * p[1] + ...  Every
+    float sum is a left fold, never the builtin `sum`, which compensates
+    from Python 3.12 on and would make the point depend on the
+    interpreter.
     """
-    S, _, n = tensor.shape
-    seg = np.arange(S)
+    n = len(rows)
     # The oracle's vertices for the all-ones direction and each coordinate
-    # direction, at equal weights.  The one for e_i gives agent i its
+    # direction, at equal weights: their scores are the left-fold sums of
+    # the rows and the rows themselves.  The one for e_i gives agent i its
     # largest expected utility, which is positive, and no vertex has a
     # negative coordinate, so their barycentre is strictly positive.
-    picks = (tensor @ np.vstack([np.ones(n), np.eye(n)]).T).argmax(axis=1)  # (S, n + 1)
     verts: list[list[float]] = []
-    for v in tensor[seg[:, None], picks, :].sum(axis=0).tolist():
+    for scores in ([reduce(add, point) for point in zip(*rows)], *rows):
+        v = _best_vertex(rows, width, scores)
         if v not in verts:
             verts.append(v)
     lam = [1.0 / len(verts)] * len(verts)
@@ -402,13 +410,16 @@ def _nash_frank_wolfe(tensor: np.ndarray) -> np.ndarray:
             lam = [lj for lj in lam if lj > 0.0]
             total = reduce(add, lam)
             lam = [lj / total for lj in lam]
-        cur = np.array([reduce(add, map(mul, lam, col)) for col in zip(*verts)])
-        grad = 1.0 / cur
-        vertex = tensor[seg, (tensor @ grad).argmax(axis=1), :].sum(axis=0)
-        gap = float(grad @ (vertex - cur))
+        cur = [reduce(add, map(mul, lam, col)) for col in zip(*verts)]
+        grad = [1.0 / xi for xi in cur]
+        scores = [0.0] * len(rows[0])
+        for g, row in zip(grad, rows):
+            scores = [a + g * v for a, v in zip(scores, row)]
+        vertex = _best_vertex(rows, width, scores)
+        gap = _dot(grad, list(map(sub, vertex, cur)))
         if gap <= 1e-12 * n:
             return cur
-        verts.append(vertex.tolist())
+        verts.append(vertex)
         lam = [lj * (1.0 - 1e-3) for lj in lam]
         lam.append(1e-3)
     raise DegenerateNashPoint(
@@ -426,12 +437,12 @@ def swf1(profile: Profile) -> SwfResult:
         return baru(profile)
     point = _nash_point(profile)
     # sorted, so that relabelling the agents cannot reorder the product
-    product = reduce(mul, sorted(point.tolist()))
+    product = reduce(mul, sorted(point))
     if product <= TOL_MEASURE:
         raise DegenerateNashPoint(f"nash product {product!r} is not positive")
     contribs = []
     for pos, i in enumerate(concerned):
-        w = product / float(point[pos])
+        w = product / point[pos]
         contribs.append((i, profile.agents[i], 1.0, w))
     return _merge(profile, contribs)
 

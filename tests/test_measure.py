@@ -39,6 +39,8 @@ def test_eventset_complement_partitions_unit_interval():
 def test_eventset_merges_touching_intervals():
     e = EventSet.from_intervals(((0.0, 0.25), (0.25, 0.5)))
     assert e.intervals == ((0.0, 0.5),)
+    e = EventSet.from_intervals(((0.5, 0.75), (0.9, 0.9), (0.0, 0.25), (0.25, 0.5)))
+    assert e.intervals == ((0.0, 0.75),)
 
 
 def test_eventset_drops_empty_pairs_and_rejects_bad_bounds():
@@ -47,6 +49,11 @@ def test_eventset_drops_empty_pairs_and_rejects_bad_bounds():
         EventSet.from_intervals(((-0.1, 0.2),))
     with pytest.raises(ValueError):
         EventSet(((0.0, 0.3), (0.2, 0.5)))  # overlap caught by the constructor
+    with pytest.raises(ValueError, match="intervals overlap"):
+        EventSet.from_intervals(((0.2, 0.5), (0.0, 0.3)))
+    # a NaN end is refused, also where it would touch its neighbour
+    with pytest.raises(ValueError, match="bad interval"):
+        EventSet.from_intervals(((0.5, math.nan), (0.0, 0.5)))
 
 
 def test_density_must_integrate_to_one():

@@ -2,7 +2,6 @@
 utilities, the six flawed contrasts, the Nash solver, pooling, and the
 registry."""
 
-import builtins
 import itertools
 import math
 import operator
@@ -286,6 +285,7 @@ def _assert_tensor_certified(tensor, x):
     log-product at x (h(1/x) <= 1/x . x = n), for the support function
     h(c) = sum over segments of max over outcomes of c . tensor[s, x]."""
     n = tensor.shape[2]
+    x = np.asarray(x)
 
     def support(dirs):
         return (tensor @ np.atleast_2d(dirs).T).max(axis=1).sum(axis=0)
@@ -312,7 +312,7 @@ def test_nash_point_simplex_oracle():
     # unit-vector utilities and one dead outcome: the image is the corner
     # simplex, whose log-product maximum is the barycenter
     profile = _simplex_profile()
-    point = _nash_point(profile)
+    point = np.asarray(_nash_point(profile))
     assert np.abs(point - 1.0 / 3.0).max() <= 1e-8
     _assert_nash_certified(profile, point)
 
@@ -396,7 +396,7 @@ def test_nash_start_holds_the_bargaining_act(monkeypatch):
         for i in range(3)
     )
     monkeypatch.setattr(swf_module, "_NASH_ROUNDS", 1)
-    point = _nash_point(Profile(space, prefs))
+    point = np.asarray(_nash_point(Profile(space, prefs)))
     assert np.abs(point - 0.8).max() <= 1e-12
 
 
@@ -434,6 +434,14 @@ def _nash_frank_wolfe_reference(tensor):
         P = np.vstack([P, vertex])
         lam = np.append(lam * (1.0 - 1e-3), 1e-3)
     raise DegenerateNashPoint("reference ran out of rounds")
+
+
+def _frank_wolfe_on(tensor):
+    """`_nash_frank_wolfe` on an (S, X, n) tensor, given as its rows of
+    products: one per agent, segment after segment."""
+    S, X, n = tensor.shape
+    rows = tensor.transpose(2, 0, 1).reshape(n, S * X).tolist()
+    return np.asarray(swf_module._nash_frank_wolfe(rows, X))
 
 
 def _collinear_start_tensors(rng):
@@ -483,18 +491,40 @@ def test_nash_frank_wolfe_matches_lstsq_reference(rng, monkeypatch):
         tensor = np.ascontiguousarray(geometry_for(profile).tensor[:, :, perm])
         got = np.empty(len(perm))
         want = np.empty(len(perm))
-        got[perm] = swf_module._nash_frank_wolfe(tensor)
+        got[perm] = _frank_wolfe_on(tensor)
         want[perm] = _nash_frank_wolfe_reference(tensor)
         _assert_nash_certified(profile, got)
         _assert_nash_certified(profile, want)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     for tensor in crafted:
-        got = swf_module._nash_frank_wolfe(tensor)
+        got = _frank_wolfe_on(tensor)
         want = _nash_frank_wolfe_reference(tensor)
         _assert_tensor_certified(tensor, got)
         _assert_tensor_certified(tensor, want)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert deficient >= 20
+
+
+def test_best_vertex_takes_first_maximum_and_folds_segments():
+    # the oracle's picks and sums, bit for bit: numpy's first maximum per
+    # segment, then the picked points added segment after segment; lattice
+    # values make ties within a segment common
+    rng = random.Random(2016)
+    ties = 0
+    for trial in range(600):
+        S, X, n = rng.randint(1, 6), rng.randint(2, 5), rng.randint(3, 4)
+        draw = (lambda: rng.randint(0, 3) / 4) if trial % 2 else rng.random
+        tensor = np.array([[[draw() for _ in range(n)] for _ in range(X)] for _ in range(S)])
+        scores = tensor @ np.array([rng.randint(1, 4) / 2 for _ in range(n)])
+        picks = scores.argmax(axis=1)
+        want = tensor[0, picks[0]]
+        for s in range(1, S):
+            want = want + tensor[s, picks[s]]
+        rows = tensor.transpose(2, 0, 1).reshape(n, S * X).tolist()
+        got = swf_module._best_vertex(rows, X, scores.ravel().tolist())
+        assert [v.hex() for v in got] == [v.hex() for v in want.tolist()]
+        ties += any((row == row.max()).sum() > 1 for row in scores)
+    assert ties >= 50
 
 
 def test_newton_step_branches_match_lstsq():
@@ -519,27 +549,19 @@ def test_newton_step_branches_match_lstsq():
 
 
 @pytest.mark.parametrize("n_agents", [2, 3, 4])
-def test_nash_point_folds_without_builtin_sum(rng, monkeypatch, n_agents):
+def test_nash_point_folds_without_builtin_sum(rng, forbid_float_sum, n_agents):
     # builtin sum compensates from Python 3.12 on; a float sum anywhere on
     # the solve would make swf1's bits depend on the interpreter
-    real_sum = builtins.sum
-
-    def guarded(items, start=0):
-        items = list(items)
-        if isinstance(start, float) or any(isinstance(v, float) for v in items):
-            raise AssertionError("builtin sum over floats")
-        return real_sum(items, start)
-
     profiles = [
         random_profile(rng, space=SPACE, n_agents=max(n_agents, 3), n_concerned=n_agents)
         for _ in range(5)
     ]
     if n_agents > 2:
         profiles.append(_twin_profile(rng, n_agents))
-    monkeypatch.setattr(builtins, "sum", guarded)
+    forbid_float_sum()
     for profile in profiles:
         x = _nash_point(profile)
-        assert np.all(x > 0.0)
+        assert np.all(np.asarray(x) > 0.0)
 
 
 def test_swf1_simplex_weights_equalize():
@@ -640,7 +662,7 @@ def test_two_agent_nash_point_matches_geometry_route():
         profile = Profile(space, tuple(prefs))
         got = _nash_point(profile)
         want = _nash_point_geometry_route(profile)
-        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+        assert [x.hex() for x in got] == [x.hex() for x in want.tolist()]
         agents = [profile.agents[i] for i in profile.concerned]
         bps = merged_breakpoints([p.belief for p in agents])
         zeros = [(m1 == 0.0) + (m2 == 0.0) for m1, m2 in zip(*(segment_masses(p.belief, bps) for p in agents))]
@@ -875,13 +897,11 @@ def test_geometric_pool_matches_own_rescaling(rng):
         geometric_pool(halves)
 
 
-def test_swf1_lone_agent_is_baru_without_geometry(monkeypatch):
+def test_swf1_lone_agent_is_baru_without_geometry():
     from baru.harness import random_density, random_utility
 
-    def no_geometry(profile):
-        raise AssertionError("geometry_for called")
-
-    monkeypatch.setattr(swf_module, "geometry_for", no_geometry)
+    # swf solves on Python floats alone: no numpy, no image geometry
+    assert not {"np", "numpy", "geometry_for"} & set(vars(swf_module))
     rng = random.Random(4401)
     for _ in range(300):
         lone = Preference(random_density(rng), random_utility(rng, SPACE))
