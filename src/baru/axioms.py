@@ -15,18 +15,8 @@ from functools import reduce
 from operator import add, sub
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import lp
-from .geometry import (
-    ProfileGeometry,
-    _hull2d,
-    direction_set,
-    geometry_for,
-    image_polytope,
-    kink_directions,
-    support_values,
-)
+from .geometry import _hull2d, geometry_for, image_gap
 from .measure import (
     Coarsening,
     Density,
@@ -62,7 +52,6 @@ __all__ = [
     "ScenarioRejected",
     "CoRedundancyCertificate",
     "Refused",
-    "image_polytope",
     "certify_coredundancy",
     "check_faithfulness",
     "check_anonymity",
@@ -117,11 +106,15 @@ class CoRedundancyCertificate:
     """Witness that acts factoring through the coarsening and using only
     the listed outcomes already span the full utility image.
 
-    `method` is "exact" when `residual` bounds the support gap over every
-    unit direction (one or two concerned agents), "sampled" when it is the
-    largest gap over `directions` probing directions only.  `directions`
-    is 0 when the two images were shown equal without probing any
-    direction: two agents whose outcome hull is spanned by the subset,
+    `method` is "exact" when the comparison covers every unit direction
+    (one or two concerned agents), "sampled" when it covers only the
+    `directions` probing directions.  `directions` counts what was
+    compared: the probing directions of `geometry.direction_set` for one
+    agent or for three or more; for two agents the vertices of the full
+    image's polygon, each measured against the restricted polygon, which
+    makes `residual` the largest support gap itself (`geometry.image_gap`).
+    It is 0 when the two images were shown equal without comparing
+    anything: two agents whose outcome hull is spanned by the subset,
     with `residual` the fiber bound of `certify_coredundancy`.  That bound
     is 0.0 under the identity coarsening and of rounding size where a
     coarsening keeps each fiber's masses proportional (at most 1.4e-16 on
@@ -139,9 +132,13 @@ class CoRedundancyCertificate:
 
 @dataclass(frozen=True)
 class Refused:
-    """Certification failure: reason is "image-mismatch" (with a
-    separating direction, and the method and direction count of the
-    comparison) or "improper-pushforward"."""
+    """Certification failure: reason is "image-mismatch" or
+    "improper-pushforward".  An image mismatch carries a unit direction
+    where the full image's support exceeds the restricted one's by
+    `residual`, and the method and count of the comparison, as in
+    `CoRedundancyCertificate`: for two agents the direction runs from the
+    nearest restricted point to the farthest full-polygon vertex, and
+    `directions` counts the full polygon's vertices."""
 
     reason: str
     detail: str
@@ -149,43 +146,6 @@ class Refused:
     residual: float | None = None
     method: str | None = None
     directions: int = 0
-
-
-_AXES_2D = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-
-
-def _exact_support_gap(
-    full: ProfileGeometry, restricted: ProfileGeometry
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Two-agent support gap at every kink direction of either image, with
-    a bound on the gap over all directions.
-
-    Between consecutive kink directions both support functions are
-    linear, so on that arc the gap is a linear function of the direction;
-    the coordinate axes keep every arc within pi/2.  A unit direction on an
-    arc of angle phi is a nonnegative combination of the arc's ends with
-    coefficients summing to at most 1/cos(phi/2), which bounds the gap
-    there by the larger end gap over cos(phi/2).
-
-    The kink directions come from hulls that take turns of sine at most
-    1e-14 as straight (`geometry._hull2d`).  A vertex dropped that way
-    bends the support function inside a cone about 1e-14 rad wide around
-    the normal of the chord that replaced it.  The gap at that normal is
-    measured, but the bound does not cover the cone.
-
-    Returns the unit directions, the absolute gaps there, and the bound."""
-    raw = np.concatenate((kink_directions(full), kink_directions(restricted), _AXES_2D))
-    norms = np.hypot(raw[:, 0], raw[:, 1])
-    nonzero = norms > 0.0
-    raw = raw[nonzero] / norms[nonzero, None]
-    angles, keep = np.unique(np.arctan2(raw[:, 1], raw[:, 0]), return_index=True)
-    dirs = raw[keep]
-    gaps = np.abs(support_values(full, dirs) - support_values(restricted, dirs))
-    # arc k runs from direction k to direction k + 1, the last one wrapping
-    ends = np.append(gaps, gaps[0])
-    turns = np.append(angles, angles[0] + 2.0 * np.pi)
-    bound = np.maximum(ends[:-1], ends[1:]) / np.cos(0.5 * (turns[1:] - turns[:-1]))
-    return dirs, gaps, float(bound.max())
 
 
 def _fiber_residual(
@@ -249,9 +209,9 @@ def certify_coredundancy(
     """Decides whether acts factoring through q into the outcome subset
     reach the whole image of the concerned agents, by comparing the two
     support functions.  With one or two concerned agents the comparison
-    is exact (every direction where a support function bends, with a
-    certified bound between them); with more it is sampled over
-    `direction_set`.
+    is exact: one agent compares two intervals, two agents the two image
+    polygons, whose largest vertex distance is the largest support gap
+    (`geometry.image_gap`).  With more it is sampled over `direction_set`.
 
     Two agents are first tried by a fiber bound, under any coarsening.
     The full image is the sum over source cells s of D_s conv(U), the
@@ -267,7 +227,7 @@ def certify_coredundancy(
     the support gap at every unit direction by the residual
     sum_s |e_s|_1 + sum_t |E_t - D_t|_1.  A residual of at
     most TOL_MEASURE certifies without probing a direction.  Otherwise the
-    kink directions decide, and give a refusal its direction.  conv(U) is
+    polygons decide, and give a refusal its direction.  conv(U) is
     `geometry._hull2d`'s hull, which takes turns of sine at most 1e-14 as
     straight, so an outcome at such a turn does not stop the certificate
     though it may lie just outside."""
@@ -299,26 +259,18 @@ def certify_coredundancy(
                 return CoRedundancyCertificate(q, outs, push, residual, "exact", 0)
     full = geometry_for(profile)
     restricted = geometry_for(profile, q, outs, dict(push))
-    if len(ids) == 2:
-        method = "exact"
-        dirs, gaps, residual = _exact_support_gap(full, restricted)
-    else:
-        # one agent: the directions +1 and -1 already decide an interval
-        method = "exact" if len(ids) == 1 else "sampled"
-        dirs = direction_set(len(ids))
-        gaps = np.abs(support_values(full, dirs) - support_values(restricted, dirs))
-        residual = float(gaps.max())
+    residual, direction, method, count = image_gap(full, restricted)
     if residual > TOL_MEASURE:
-        k = int(gaps.argmax())
+        unit = "vertices" if len(ids) == 2 else "directions"
         return Refused(
             "image-mismatch",
-            f"support gap {residual:.3e} ({method}, {len(dirs)} directions)",
-            tuple(float(v) for v in dirs[k]),
+            f"support gap {residual:.3e} ({method}, {count} {unit})",
+            direction,
             residual,
             method,
-            len(dirs),
+            count,
         )
-    return CoRedundancyCertificate(q, outs, push, residual, method, len(dirs))
+    return CoRedundancyCertificate(q, outs, push, residual, method, count)
 
 
 # ---------------------------------------------------------------------------

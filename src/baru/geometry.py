@@ -11,14 +11,15 @@ has the closed form
 
 which this module evaluates exactly, along with attaining acts, vertex
 recovery by rotating directions, and an exact Minkowski-sum polygon for the
-two-agent case.
+two-agent case, from which `image_gap` measures how far a restricted image
+falls short of the full one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import atan2, hypot, pi, sqrt
+from math import atan2, hypot, inf, pi, sqrt
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -128,23 +129,6 @@ def support_values(geom: ProfileGeometry, directions: np.ndarray) -> np.ndarray:
     return scores.max(axis=0).sum(axis=0)
 
 
-def kink_directions(geom: ProfileGeometry) -> np.ndarray:
-    """Outward normals (m2 ey, -m1 ex), not normalized, of the edges
-    (m1 ex, m2 ey) of every segment's hull (`segment_hulls`).  A two-agent
-    support function is linear between consecutive such directions, except
-    inside the thin cones of the turns `_hull2d` takes as straight.  A
-    segment where one agent has zero mass gives only coordinate directions,
-    and one that collapses to a point gives none, so no row is zero."""
-    if geom.dimension != 2:
-        raise ValueError("kink directions only at dimension 2")
-    masses = geom.masses.tolist()
-    cells = segment_hulls(masses, geom.utils.tolist())
-    # flat floats: numpy converts them faster than a list of pairs
-    rows = [c for m1, m2, (_, steps) in zip(*masses, cells)
-            for ex, ey in steps for c in (m2 * ey, -(m1 * ex))]
-    return np.array(rows, dtype=float).reshape(-1, 2)
-
-
 def _argmax_choices(geom: ProfileGeometry, direction: np.ndarray) -> np.ndarray:
     scores = geom.tensor @ np.asarray(direction, dtype=float)  # (S, X)
     return scores.argmax(axis=1)
@@ -174,9 +158,11 @@ def attained_points(geom: ProfileGeometry, directions: np.ndarray) -> np.ndarray
 # exact two-dimensional geometry
 
 
-# `_hull2d` takes a turn o -> a -> p as straight, and drops a, when its sine
-# is at most this: cross(a - o, p - o) <= _HULL_SINE * |a - o| * |p - o|.
-# Unlike a bound on the cross product alone, this does not depend on scale.
+# `_hull2d` takes a forward turn o -> a -> p as straight, and drops a, when
+# its sine is at most this: cross(a - o, p - o) <= _HULL_SINE * |a - o| * |p - o|
+# with (a - o) . (p - o) > 0.  Unlike a bound on the cross product alone,
+# this does not depend on scale.  A U-turn, where a - o and p - o point
+# nearly opposite ways, has a small sine too, but a is then a vertex.
 _HULL_SINE = 1e-14
 
 
@@ -197,7 +183,9 @@ def _hull2d(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
                 ax, ay = out[-1]
                 ux, uy, vx, vy = ax - ox, ay - oy, p[0] - ox, p[1] - oy
                 cross = ux * vy - uy * vx
-                if cross <= 0.0 or cross <= _HULL_SINE * hypot(ux, uy) * hypot(vx, vy):
+                if cross <= 0.0 or (
+                    cross <= _HULL_SINE * hypot(ux, uy) * hypot(vx, vy) and ux * vx + uy * vy > 0.0
+                ):
                     out.pop()
                 else:
                     break
@@ -255,8 +243,9 @@ def minkowski_polygon(geom: ProfileGeometry) -> tuple[tuple[float, float], ...]:
     exact up to that rounding and the thin turns `_hull2d` takes as
     straight.
 
-    `image_polytope` uses the whole polygon.  swf1's bargaining point does
-    not: it walks only the Pareto chain (`swf._pareto_walk`)."""
+    `image_polytope` and `image_gap` use the whole polygon.  swf1's
+    bargaining point does not: it walks only the Pareto chain
+    (`swf._pareto_walk`)."""
     if geom.dimension != 2:
         raise ValueError("exact polygon only at dimension 2")
     sx = sy = 0.0
@@ -312,32 +301,70 @@ class ImagePolytope:
             (lo,), (hi,) = self.vertices
             return lo - tol <= float(point[0]) <= hi + tol
         if self.dimension == 2:
-            return _polygon_distance(self.vertices, (float(point[0]), float(point[1]))) <= tol
+            return _nearest_point(self.vertices, (float(point[0]), float(point[1])))[0] <= tol
         p = np.asarray(point, dtype=float)
         dirs = np.asarray(self.directions)
         return bool(np.all(dirs @ p <= np.asarray(self.support) + tol))
 
 
-def _polygon_distance(
+def _nearest_point(
     verts: Sequence[tuple[float, float]], p: tuple[float, float]
-) -> float:
+) -> tuple[float, tuple[float, float]]:
     """Euclidean distance from p to the convex polygon with these CCW
-    vertices (a segment or a point when there are fewer than three)."""
+    vertices (a segment or a point when there are fewer than three), and
+    the polygon's point nearest to p: p itself when it lies inside."""
     px, py = p
     edges = list(zip(verts, verts[1:] + verts[:1]))
     if len(verts) >= 3 and all(
         (bx - ax) * (py - ay) - (by - ay) * (px - ax) >= 0.0 for (ax, ay), (bx, by) in edges
     ):
-        return 0.0
-    best = np.inf
+        return 0.0, p
+    best = (inf, p)
     for (ax, ay), (bx, by) in edges:
         dx, dy = bx - ax, by - ay
         length2 = dx * dx + dy * dy
         t = 0.0
         if length2 > 0.0:
             t = min(max(((px - ax) * dx + (py - ay) * dy) / length2, 0.0), 1.0)
-        best = min(best, hypot(px - ax - t * dx, py - ay - t * dy))
+        best = min(best, (hypot(px - ax - t * dx, py - ay - t * dy), (ax + t * dx, ay + t * dy)))
     return best
+
+
+def image_gap(
+    full: ProfileGeometry, restricted: ProfileGeometry
+) -> tuple[float, tuple[float, ...] | None, str, int]:
+    """The largest support gap h_full(c) - h_restricted(c) over unit
+    directions c, for a restricted image that lies inside the full one,
+    with a direction that attains it (None when no gap is positive), the
+    method ("exact" or "sampled") and the number of vertices or directions
+    compared.
+
+    At dimension 2 it compares the two polygons (`minkowski_polygon`).
+    For nested convex sets the supremum of the gap is their Hausdorff
+    distance (Schneider, *Convex Bodies*, 2nd ed., 2014, section 1.8),
+    and a point's distance to the inner set is convex, so it peaks at a
+    vertex of the outer one: the gap is the largest distance from a
+    full-polygon vertex to the restricted polygon, and its direction is
+    the unit vector from the nearest restricted point to that vertex.
+    The count is the number of full-polygon vertices.  It is exact up to
+    rounding and the thin turns `_hull2d` takes as straight.  At any
+    other dimension the gap is taken over `direction_set`, whose
+    directions +1 and -1 already decide an interval (exact at dimension 1)
+    and which samples above 2."""
+    if full.dimension == 2:
+        outer = minkowski_polygon(full)
+        inner = minkowski_polygon(restricted)
+        gap, direction = 0.0, None
+        for vx, vy in outer:
+            d, (nx, ny) = _nearest_point(inner, (vx, vy))
+            if d > gap:
+                gap, direction = d, ((vx - nx) / d, (vy - ny) / d)
+        return gap, direction, "exact", len(outer)
+    dirs = direction_set(full.dimension)
+    gaps = np.abs(support_values(full, dirs) - support_values(restricted, dirs))
+    k = int(gaps.argmax())
+    method = "exact" if full.dimension == 1 else "sampled"
+    return float(gaps[k]), tuple(float(v) for v in dirs[k]), method, len(dirs)
 
 
 def image_polytope(

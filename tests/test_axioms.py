@@ -40,13 +40,12 @@ from baru.axioms import (
     CoRedundancyCertificate,
     Refused,
     ScenarioRejected,
-    _exact_support_gap,
     _fiber_residual,
     certify_coredundancy,
 )
 from baru import axioms as axioms_module
 from baru import harness, lp
-from baru.geometry import _hull2d, geometry_for, support_values
+from baru.geometry import _hull2d, geometry_for, image_gap, support_values
 from baru.harness import child_seed, ira_scenario, random_profile, random_utility, reversal
 from baru.measure import TOL_MEASURE, pushforward_coarsening
 from baru.prefs import discount_to_belief
@@ -313,12 +312,12 @@ def test_certify_refuses_thin_gap(thin_gap):
 
 def test_certify_refuses_thin_turn_outcome(thin_pair):
     # c is a hull vertex by its sine, though an absolute 1e-14 cross-product
-    # test would drop it; the kink path then measures its gap
+    # test would drop it; the polygons then measure its distance
     profile, _ = thin_pair
     out = certify_coredundancy(profile, Coarsening.identity(), ("o", "p", "a", "v"))
     assert isinstance(out, Refused)
     assert out.reason == "image-mismatch"
-    assert out.residual == pytest.approx(5.2e-7, rel=0.05)
+    assert out.residual == pytest.approx(4.45e-7, rel=0.05)
 
 
 def test_certify_reports_method_and_directions(table1, rng):
@@ -334,8 +333,9 @@ def test_certify_reports_method_and_directions(table1, rng):
 
 
 def test_certify_exact_residual_bounds_dense_gap():
-    # IRA scenarios with one subset outcome dropped: the certified bound
-    # must cover the support gap at 100 000 evenly spread directions
+    # IRA scenarios with one subset outcome dropped: the residual is the
+    # largest support gap, so it covers the gap at 100 000 evenly spread
+    # directions and exceeds their largest by no more than their spacing allows
     rng = random.Random(4242)
     angles = 2.0 * np.pi * np.arange(100_000) / 100_000
     dense = np.column_stack([np.cos(angles), np.sin(angles)])
@@ -355,6 +355,7 @@ def test_certify_exact_residual_bounds_dense_gap():
                 for k in range(0, len(dense), 10_000)
             )
             assert gap <= out.residual + 1e-12
+            assert out.residual <= gap * 1.001 + 1e-12
             if isinstance(out, Refused):
                 refused += 1
             else:
@@ -362,11 +363,10 @@ def test_certify_exact_residual_bounds_dense_gap():
     assert refused and certified
 
 
-def _kink_path_certifies(profile, outcomes, q=None) -> bool:
-    """The kink-direction decision for two agents under the coarsening q
-    (the identity when None), without the fiber bound in front of it."""
-    full = geometry_for(profile)
-    _, _, residual = _exact_support_gap(full, geometry_for(profile, q, outcomes))
+def _polygon_path_certifies(profile, outcomes, q=None) -> bool:
+    """The polygon decision for two agents under the coarsening q (the
+    identity when None), without the fiber bound in front of it."""
+    residual, _, _, _ = image_gap(geometry_for(profile), geometry_for(profile, q, outcomes))
     return residual <= TOL_MEASURE
 
 
@@ -399,13 +399,15 @@ def _two_agent_case(rng: random.Random) -> tuple[Profile, tuple[str, ...]]:
 
 
 def test_certify_hull_decision_matches_kink_path():
+    # the hull test decides before the polygon path (once named for the
+    # kink directions it swept); both must agree
     rng = random.Random(60601)
     q = Coarsening.identity()
-    tally = {"hull": 0, "kink-certified": 0, "refused": 0}
+    tally = {"hull": 0, "polygon-certified": 0, "refused": 0}
     for _ in range(2000):
         profile, subset = _two_agent_case(rng)
         out = certify_coredundancy(profile, q, subset)
-        assert isinstance(out, CoRedundancyCertificate) == _kink_path_certifies(profile, subset)
+        assert isinstance(out, CoRedundancyCertificate) == _polygon_path_certifies(profile, subset)
         if isinstance(out, Refused):
             tally["refused"] += 1
             assert out.directions > 0
@@ -413,8 +415,14 @@ def test_certify_hull_decision_matches_kink_path():
             tally["hull"] += 1
             assert out.residual == 0.0
         else:
-            tally["kink-certified"] += 1
+            tally["polygon-certified"] += 1
     assert min(tally.values()) >= 10, tally
+
+
+def test_axioms_binds_no_numpy():
+    # the two-agent fall-through compares polygons inside `geometry`;
+    # `axioms` itself works on Python floats
+    assert not {"np", "numpy"} & set(vars(axioms_module))
 
 
 def _uv_profile(u1: dict, u2: dict, d1=None, d2=None) -> Profile:
@@ -458,8 +466,8 @@ def test_certify_mutually_singular_beliefs():
     cert = certify_coredundancy(prof, Coarsening.identity(), ("a", "b", "c", "d"))
     assert (cert.method, cert.directions, cert.residual) == ("exact", 0, 0.0)
     # d = (1, 1) is a hull vertex outside the subset, but each cell sees a
-    # single agent, whose range [0, 1] the subset already spans: the kink
-    # path certifies what the hull test cannot
+    # single agent, whose range [0, 1] the subset already spans: the
+    # polygons certify what the hull test cannot
     cert = certify_coredundancy(prof, Coarsening.identity(), ("a", "b", "c"))
     assert isinstance(cert, CoRedundancyCertificate)
     assert cert.method == "exact" and cert.directions > 0
@@ -562,10 +570,11 @@ def _fibered_case(rng: random.Random) -> tuple[Profile, Coarsening, tuple[str, .
 
 
 def test_certify_fiber_bound_decision_matches_kink_path():
-    # the fiber bound decides before the kink path; both must agree, on the
-    # IRA battery's merge-pairs scenarios and on random coarsenings
+    # the fiber bound decides before the polygon path (once named for the
+    # kink directions it swept); both must agree, on the IRA battery's
+    # merge-pairs scenarios and on random coarsenings
     rng = random.Random(151515)
-    tally = {"fiber": 0, "kink-certified": 0, "refused": 0, "merge": 0}
+    tally = {"fiber": 0, "polygon-certified": 0, "refused": 0, "merge": 0}
     cases = draws = 0
     while cases < 2400:
         draws += 1
@@ -587,7 +596,7 @@ def test_certify_fiber_bound_decision_matches_kink_path():
                 pushed = [pushforward_coarsening(q, d) for d in beliefs]
                 assert _fiber_residual(q, beliefs, pushed) <= 1e-12
             out = certify_coredundancy(profile, q, subset)
-            assert isinstance(out, CoRedundancyCertificate) == _kink_path_certifies(profile, subset, q)
+            assert isinstance(out, CoRedundancyCertificate) == _polygon_path_certifies(profile, subset, q)
             assert out.method == "exact"
             if isinstance(out, Refused):
                 tally["refused"] += 1
@@ -596,7 +605,7 @@ def test_certify_fiber_bound_decision_matches_kink_path():
                 tally["fiber"] += 1
                 assert out.residual <= TOL_MEASURE
             else:
-                tally["kink-certified"] += 1
+                tally["polygon-certified"] += 1
     assert min(tally.values()) >= 20, tally
 
 
@@ -645,7 +654,8 @@ def test_certify_merge_pairs_folds_without_builtin_sum(forbid_float_sum):
 
 def test_certify_proportional_fibers_off_subset_vertex_takes_kink_path():
     # pairflat beliefs under merge-pairs: every fiber's masses are
-    # proportional, but d = (1, 1) is a hull vertex outside the subset
+    # proportional, but d = (1, 1) is a hull vertex outside the subset, so
+    # the polygon path decides
     rng = random.Random(1717)
     q = harness._merge_pairs_coarsening()
     d1, d2 = harness._pairflat_density(rng)[0], harness._pairflat_density(rng)[0]
@@ -663,7 +673,7 @@ def test_certify_proportional_fibers_off_subset_vertex_takes_kink_path():
 
 def test_certify_table1_fold_fiber_bound_falls_through(table1):
     # each half's fiber pairs (0.45, 0.05) with (0.05, 0.45): far from
-    # proportional, so the kink path decides, and refuses
+    # proportional, so the polygons decide, and refuse
     profile, _, _ = table1
     fold = Coarsening(((0.0, 0.5, 0.0, 1.0, 1), (0.5, 1.0, 0.0, 1.0, 1)))
     beliefs = [profile.agents[i].belief for i in profile.concerned]

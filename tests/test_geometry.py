@@ -28,8 +28,8 @@ from baru.geometry import (
     attaining_act,
     direction_set,
     geometry_for,
-    kink_directions,
     minkowski_polygon,
+    segment_hulls,
     support_values,
 )
 from baru.harness import random_profile
@@ -203,24 +203,71 @@ def test_image_polytope_contains_thin_turn_outcome(thin_pair):
     assert points["c"] in poly.vertices
 
 
-def test_kink_directions_zero_mass_rule():
+def _scaled_steps(masses, utils):
+    """Every segment's hull edges (m1 ex, m2 ey), from `segment_hulls`."""
+    cells = segment_hulls(masses, utils)
+    return [[(m1 * ex, m2 * ey) for ex, ey in steps] for m1, m2, (_, steps) in zip(*masses, cells)]
+
+
+def test_segment_hulls_zero_mass_rule():
     utils = [[0.0, 1.0, 0.3, 0.7], [0.0, 0.2, 1.0, 0.9]]
     for m1, m2 in ((0.0, 0.6), (0.4, 0.0)):
-        rows = kink_directions(_two_agent_geometry([[m1], [m2]], utils))
-        assert len(rows) == 2
-        assert all((x == 0.0) != (y == 0.0) for x, y in rows.tolist())
-    assert kink_directions(_two_agent_geometry([[0.0], [0.0]], utils)).shape == (0, 2)
+        # one agent's mass is zero: the segment runs along the other's axis
+        (steps,) = _scaled_steps([[m1], [m2]], utils)
+        assert len(steps) == 2
+        assert all((x == 0.0) != (y == 0.0) for x, y in steps)
+    assert _scaled_steps([[0.0], [0.0]], utils) == [[]]
     # only agent 2's utility is flat: with agent 1's mass zero the segment
     # collapses to a point
     flat = [[0.0, 1.0, 0.5], [0.5, 0.5, 0.5]]
-    assert kink_directions(_two_agent_geometry([[0.7], [0.0]], flat)).shape == (2, 2)
-    assert kink_directions(_two_agent_geometry([[0.0], [0.7]], flat)).shape == (0, 2)
+    assert len(_scaled_steps([[0.7], [0.0]], flat)[0]) == 2
+    assert _scaled_steps([[0.0], [0.7]], flat) == [[]]
     rng = random.Random(20240811)
     for _ in range(200):
         S = rng.randint(1, 6)
         masses = [[rng.choice((0.0, rng.random())) for _ in range(S)] for _ in range(2)]
-        rows = kink_directions(_two_agent_geometry(masses, utils))
-        assert not any(x == 0.0 and y == 0.0 for x, y in rows.tolist())
+        for steps in _scaled_steps(masses, utils):
+            assert not any(x == 0.0 and y == 0.0 for x, y in steps)
+
+
+def test_hull2d_keeps_u_turn_vertex():
+    # o -> a -> p turns back on itself: the turn's sine is about 7e-15, but
+    # a - o and p - o point opposite ways, and a is the lowest point
+    pts = [(-3.3e-17, 0.0052), (0.0, 0.0), (0.0, 0.1), (0.14, 0.03), (0.5, 0.6)]
+    hull = _hull2d(pts)
+    assert (0.0, 0.0) in hull
+    assert hull == [(-3.3e-17, 0.0052), (0.0, 0.0), (0.14, 0.03), (0.5, 0.6), (0.0, 0.1)]
+
+
+def test_image_polytope_keeps_u_turn_vertex():
+    # a restricted image whose lowest vertex (0, 0) sits at a U-turn of the
+    # walked polygon; dropping it left (0, 0) outside, while the image's
+    # own support in direction (0, -1) is 0.0
+    d1 = Density(
+        (0.0, 0.05707356678573339, 0.0625, 0.46991766383560035, 0.96875,
+         0.9733030957236604, 0.9994790656861797, 1.0),
+        (5.647531272351513, 5.218280883723857, 0.19527571742130248, 0.15059576185975534,
+         19.699571061005265, 15.192221293147046, 14.037510220341355),
+    )
+    d2 = Density(
+        (0.0, 0.032628915175114945, 0.0625, 0.20268999617524497, 0.96875,
+         0.9688273250330216, 0.981657990893367, 0.991846285939427, 1.0),
+        (6.856405921075135, 9.267285475606307, 0.15432088744319486, 0.04146593651823559,
+         15.568014951012927, 4.1831169478679096, 18.44417162213348, 24.929592231112384),
+    )
+    u1 = Utility({"a": 0.75, "b": 0.0, "c": 0.0, "d": 1.0, "e": 0.0})
+    u2 = Utility({"a": 1.0, "b": 0.0, "c": 0.0, "d": 1.0, "e": 0.25})
+    space = OutcomeSpace(("a", "b", "c", "d", "e"))
+    profile = Profile(space, (Preference(d1, u1), INDIFFERENT, Preference(d2, u2)))
+    q = Coarsening((
+        (0.0, 0.0625, 0.0, 0.5625, -1),
+        (0.0625, 0.96875, 0.5625, 1.0, -1),
+        (0.96875, 1.0, 0.03382285537641723, 0.9345508330717518, -1),
+    ))
+    poly = image_polytope(profile, (q, space.labels))
+    assert poly.support_of((0.0, -1.0)) == 0.0
+    assert (0.0, 0.0) in poly.vertices
+    assert poly.contains((0.0, 0.0))
 
 
 def test_image_polytope_keeps_thin_cone_vertex(thin_gap):
