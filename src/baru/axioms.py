@@ -47,24 +47,6 @@ from .prefs import (
 )
 from .swf import SwfResult, baru, geometric_pool
 
-__all__ = [
-    "AxiomVerdict",
-    "ScenarioRejected",
-    "CoRedundancyCertificate",
-    "Refused",
-    "certify_coredundancy",
-    "check_faithfulness",
-    "check_anonymity",
-    "check_no_belief_imposition",
-    "check_restricted_monotonicity",
-    "check_independence_redundant_acts",
-    "check_restricted_pareto",
-    "detect_spurious_unanimity",
-    "common_belief_feasible",
-    "complementary_ignorance_demo",
-    "continuity_probe",
-]
-
 Swf = Callable[[Profile], SwfResult]
 
 
@@ -258,7 +240,7 @@ def certify_coredundancy(
             if residual <= TOL_MEASURE:
                 return CoRedundancyCertificate(q, outs, push, residual, "exact", 0)
     full = geometry_for(profile)
-    restricted = geometry_for(profile, q, outs, dict(push))
+    restricted = geometry_for(profile, q, outs)
     residual, direction, method, count = image_gap(full, restricted)
     if residual > TOL_MEASURE:
         unit = "vertices" if len(ids) == 2 else "directions"

@@ -111,23 +111,14 @@ def _with_params_file(params: dict, path: str | None) -> dict:
     return params
 
 
-def serialize_profile(profile: Profile, params: Mapping | None = None) -> dict:
-    out = profile_as_dict(profile)
-    if params:
-        out["params"] = dict(params)
-    return out
-
-
 def load_acts(path: str, space: OutcomeSpace) -> dict[str, Act]:
     data = _load_json(path)
     if not isinstance(data, dict) or "acts" not in data or not isinstance(data["acts"], Mapping):
         raise _fail("act file needs an 'acts' object of name -> segments", file=path)
     acts: dict[str, Act] = {}
     for name, segs in data["acts"].items():
-        try:
+        with _decoding("invalid act", file=path, act=str(name)):
             act = Act.from_dict(segs)
-        except (TypeError, ValueError) as exc:
-            raise _fail("invalid act", file=path, act=str(name), detail=str(exc))
         for _, _, lab in act.segments:
             if lab not in space:
                 raise _fail("act uses unknown outcome", file=path, act=str(name), outcome=lab)
@@ -373,20 +364,15 @@ def cmd_axiom_report(args) -> int:
 
 
 def _profile_first_check(rule: Swf, axiom: str, profile: Profile | None) -> AxiomVerdict | None:
-    """Run the supplied profile itself as scenario zero where an axiom's
-    check takes a bare profile (and an agent); battery scenarios follow.
+    """Run the supplied profile itself as scenario zero where the axiom's
+    spec builds scenarios from a bare profile; battery scenarios follow.
     A violation carries a battery witness, so `rerun_witness` replays it."""
-    if profile is None:
+    spec = AXIOM_SPECS[axiom]
+    if profile is None or spec.zero is None:
         return None
-    if axiom == "anonymity":
-        cases = [{"profile": profile}]
-    elif axiom in ("no-belief-imposition", "continuity"):
-        cases = [{"profile": profile, "agent": agent} for agent in profile.concerned]
-    else:
-        return None
-    for scenario in cases:
+    for scenario in spec.zero(profile):
         try:
-            v = AXIOM_SPECS[axiom].check(rule, scenario)
+            v = spec.check(rule, scenario)
         except ScenarioRejected:
             continue
         if not v.satisfied:
@@ -443,10 +429,8 @@ def _parse_restrict(spec: str, space: OutcomeSpace) -> tuple[Coarsening | None, 
         data = _load_json(head)
         if not isinstance(data, Mapping) or "pieces" not in data:
             raise _fail("coarsening file needs a 'pieces' list", file=head)
-        try:
+        with _decoding("invalid coarsening", file=head):
             q = Coarsening.from_dict(data)
-        except (TypeError, ValueError) as exc:
-            raise _fail("invalid coarsening", file=head, detail=str(exc))
     else:
         q = Coarsening.identity()
     labels: tuple[str, ...] | None = None
@@ -460,11 +444,16 @@ def _parse_restrict(spec: str, space: OutcomeSpace) -> tuple[Coarsening | None, 
 
 def cmd_image(args) -> int:
     profile, _ = load_profile(args.profile)
+    if not profile.concerned:
+        raise _fail("image needs at least one concerned agent", file=args.profile)
     full = image_polytope(profile)
     restricted = None
     if args.restrict:
         q, labels = _parse_restrict(args.restrict, profile.space)
         restricted = image_polytope(profile, (q, labels))
+    # refused before any file is written
+    if args.svg and full.dimension > 2:
+        raise _fail("SVG rendering needs a 1- or 2-agent image", dimension=full.dimension)
     report: dict = {
         "version": __version__,
         "agents": list(full.agent_ids),
@@ -479,8 +468,6 @@ def cmd_image(args) -> int:
         _write(args.csv, polytope_csv(full, restricted))
         report["csv"] = args.csv
     if args.svg:
-        if full.dimension > 2:
-            raise _fail("SVG rendering needs a 1- or 2-agent image", dimension=full.dimension)
         _write(
             args.svg,
             render_svg(full.vertices or (), None if restricted is None else restricted.vertices or ()),

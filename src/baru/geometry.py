@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import atan2, hypot, inf, pi, sqrt
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .measure import Coarsening, Density, pushforward_coarsening, merged_breakpoints, segment_masses, TOL_MEASURE
+from .measure import Coarsening, pushforward_coarsening, merged_breakpoints, segment_masses, TOL_MEASURE
 from .prefs import Act, Profile
 
 # Direction-set sizes for support-function work, by dimension.
@@ -90,12 +90,9 @@ def geometry_for(
     profile: Profile,
     coarsening: Coarsening | None = None,
     labels: Sequence[str] | None = None,
-    pushforwards: Mapping[int, Density] | None = None,
 ) -> ProfileGeometry:
     """Geometry of the concerned agents' image, optionally restricted to
-    acts that factor through `coarsening` into the `labels` subset.
-    `pushforwards` maps agent ids to beliefs already pushed through
-    `coarsening`, which are then used as they are."""
+    acts that factor through `coarsening` into the `labels` subset."""
     ids = profile.concerned
     if not ids:
         raise ValueError("image geometry needs at least one concerned agent")
@@ -103,14 +100,9 @@ def geometry_for(
     for lab in labs:
         if lab not in profile.space:
             raise ValueError(f"unknown outcome {lab!r}")
-    beliefs = []
-    for i in ids:
-        d = profile.agents[i].belief
-        if pushforwards is not None:
-            d = pushforwards[i]
-        elif coarsening:
-            d = pushforward_coarsening(coarsening, d)
-        beliefs.append(d)
+    beliefs = [profile.agents[i].belief for i in ids]
+    if coarsening:
+        beliefs = [pushforward_coarsening(coarsening, d) for d in beliefs]
     bps = merged_breakpoints(beliefs)
     masses = np.array([segment_masses(d, bps) for d in beliefs])  # (n, S)
     utils = np.array([profile.agents[i].utility.values_of(labs) for i in ids])  # (n, X)

@@ -563,11 +563,14 @@ def violation_witness(
 class AxiomSpec:
     """One axiom's battery: `draw(rng, t, swf)` builds trial t's scenario
     (package objects keyed as in `_SCENARIO_CODECS`) and `check(swf,
-    scenario)` judges the rule on it.  Batteries, witness replay and the
-    CLI's scenario zero all go through the same `check`."""
+    scenario)` judges the rule on it.  `zero(profile)` lists the scenarios
+    that a supplied profile alone makes, the CLI's scenario zero; it is
+    None where the check needs more than a profile.  Batteries, witness
+    replay and scenario zero all go through the same `check`."""
 
     draw: Callable[[random.Random, int, Swf], dict]
     check: Callable[[Swf, Mapping], AxiomVerdict]
+    zero: Callable[[Profile], list[dict]] | None = None
 
 
 # The specs name the checkers inside their bodies, so each call looks the
@@ -612,6 +615,10 @@ def _draw_continuity(rng: random.Random, t: int, swf: Swf) -> dict:
     return {"profile": prof, "agent": agent}
 
 
+def _zero_per_agent(profile: Profile) -> list[dict]:
+    return [{"profile": profile, "agent": agent} for agent in profile.concerned]
+
+
 def _check_continuity(swf: Swf, sc: Mapping) -> AxiomVerdict:
     rep = continuity_probe(swf, sc["profile"], sc["agent"])
     return AxiomVerdict("continuity", not rep.flagged, 1, rep.as_dict() if rep.flagged else None)
@@ -625,10 +632,12 @@ AXIOM_SPECS: dict[str, AxiomSpec] = {
     "anonymity": AxiomSpec(
         lambda rng, t, swf: {"profile": random_profile(rng)},
         lambda swf, sc: check_anonymity(swf, sc["profile"]),
+        lambda profile: [{"profile": profile}],
     ),
     "no-belief-imposition": AxiomSpec(
         _draw_profile_agent,
         lambda swf, sc: check_no_belief_imposition(swf, sc["profile"], sc["agent"]),
+        _zero_per_agent,
     ),
     "restricted-monotonicity": AxiomSpec(
         _draw_rm,
@@ -646,7 +655,7 @@ AXIOM_SPECS: dict[str, AxiomSpec] = {
         _draw_pareto,
         lambda swf, sc: check_restricted_pareto(swf, sc["profile"], sc["f"], sc["g"]),
     ),
-    "continuity": AxiomSpec(_draw_continuity, _check_continuity),
+    "continuity": AxiomSpec(_draw_continuity, _check_continuity, _zero_per_agent),
 }
 
 

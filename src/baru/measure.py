@@ -459,8 +459,14 @@ class Coarsening:
     @staticmethod
     def from_dict(data: dict) -> "Coarsening":
         return Coarsening(
-            tuple((float(a), float(b), float(c), float(d), int(o)) for a, b, c, d, o in data["pieces"])
+            tuple((float(a), float(b), float(c), float(d), _orient(o)) for a, b, c, d, o in data["pieces"])
         )
+
+
+def _orient(o: object) -> int | float:
+    """A decoded orient.  A float that is not integral (1.7, inf, NaN) stays
+    a float, which `Coarsening` refuses: int() would truncate 1.7 to +1."""
+    return o if isinstance(o, float) and not o.is_integer() else int(o)
 
 
 def pushforward_coarsening(q: Coarsening, density: Density) -> Density:

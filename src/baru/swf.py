@@ -485,15 +485,10 @@ def swf3(profile: Profile, phantom: Preference) -> SwfResult:
 
 
 def swf4(profile: Profile) -> SwfResult:
-    """Takes the society belief from the first agent whenever that agent is
-    concerned (utilities still summed equally)."""
+    """Takes the society belief from the first concerned agent, agent 0
+    whenever it is concerned (utilities still summed equally)."""
     concerned = profile.concerned
-    if not concerned:
-        return SwfResult(INDIFFERENT, None, None, (), (), ())
-    dictator = 0 if 0 in concerned else concerned[0]
-    contribs = [
-        (i, profile.agents[i], 1.0 if i == dictator else 0.0, 1.0) for i in concerned
-    ]
+    contribs = [(i, profile.agents[i], 1.0 if i == concerned[0] else 0.0, 1.0) for i in concerned]
     return _merge(profile, contribs)
 
 

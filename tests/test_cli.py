@@ -5,6 +5,7 @@ subprocess test checks the module entry point.  Fixture files are
 written under tmp_path.
 """
 
+import hashlib
 import json
 import math
 import subprocess
@@ -12,9 +13,9 @@ import sys
 
 import pytest
 
-from baru import __version__, rerun_witness, rule_by_name
+from baru import __version__, profile_as_dict, rerun_witness, rule_by_name
 from baru.axioms import AxiomVerdict, ScenarioRejected
-from baru.cli import _profile_first_check, load_profile, main, serialize_profile
+from baru.cli import _profile_first_check, load_profile, main
 from baru.harness import AXIOM_SPECS, AxiomSpec
 
 TABLE1 = {
@@ -212,7 +213,8 @@ def test_profile_first_check_skips_only_rejected_scenarios(table1, monkeypatch):
             raise ScenarioRejected("perturbation target must be concerned")
         return AxiomVerdict("continuity", False, 1, {"agent": sc["agent"]})
 
-    monkeypatch.setitem(AXIOM_SPECS, "continuity", AxiomSpec(AXIOM_SPECS["continuity"].draw, check))
+    real = AXIOM_SPECS["continuity"]
+    monkeypatch.setitem(AXIOM_SPECS, "continuity", AxiomSpec(real.draw, check, real.zero))
     v = _profile_first_check(rule_by_name("baru"), "continuity", profile)
     assert not v.satisfied
     assert v.witness["scenario"]["agent"] == second
@@ -337,6 +339,29 @@ def test_image_three_agents_csv_only(tmp_path, capsys):
     diag = json.loads(captured.err.strip())
     assert diag["dimension"] == 3
 
+    # a refused call writes nothing, not even the CSV it could have made
+    both = tmp_path / "both.csv"
+    rc = main(["image", path, "--csv", str(both), "--svg", str(tmp_path / "both.svg")])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err.strip())["dimension"] == 3
+    assert not both.exists() and not (tmp_path / "both.svg").exists()
+
+
+@pytest.mark.parametrize("orient", [1.7, -1.5])
+def test_image_restrict_refuses_non_integral_orient(table1_file, tmp_path, capsys, orient):
+    qfile = _write(tmp_path, "q.json", {"pieces": [[0, 1, 0, 1, orient]]})
+    rc = main(["image", table1_file, "--restrict", qfile])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "invalid coarsening",
+        "file": qfile,
+        "detail": "orient must be +1 or -1",
+    }
+
 
 # ---------------------------------------------------------------------------
 # distance
@@ -451,10 +476,10 @@ def test_profile_round_trip(table1_file, tmp_path):
     data = dict(TABLE1, params={"weights": {"belief": [2, 1], "utility": [2, 1]}})
     first = _write(tmp_path, "first.json", data)
     profile, params = load_profile(first)
-    blob = serialize_profile(profile, params)
+    blob = dict(profile_as_dict(profile), params=params)
     second = _write(tmp_path, "second.json", blob)
     profile2, params2 = load_profile(second)
-    assert serialize_profile(profile2, params2) == blob
+    assert dict(profile_as_dict(profile2), params=params2) == blob
 
 
 def test_module_entry_point_version():
@@ -491,6 +516,9 @@ _MALFORMED = [
         id="weights-belief-5",
     ),
     pytest.param("aggregate", _with(params={"anchor": [1, 2]}), ["--swf", "swf2"], id="anchor-list"),
+    pytest.param(
+        "image", _with(agents=[{"belief": None, "utility": None}] * 3), [], id="image-no-concerned"
+    ),
 ]
 
 
@@ -538,3 +566,120 @@ def test_non_finite_weights_exit_2_with_one_diagnostic(tmp_path, capsys, params,
     lines = captured.err.splitlines()
     assert len(lines) == 1 and "Traceback" not in captured.err
     assert json.loads(lines[0])["file"] == path
+
+
+# ---------------------------------------------------------------------------
+# pinned bytes: exit code, stdout and stderr of a fixed set of calls
+
+_ONE = json.loads(json.dumps(TABLE1))
+_ONE["agents"][1] = {"belief": None, "utility": None}
+_THREE = json.loads(json.dumps(TABLE1))
+_THREE["agents"][2] = {"belief": {"values": [1.0, 1.0]}, "utility": {"a": 0, "b": 0, "c": 1, "d": 1}}
+
+_PIN_FILES = {
+    "table1.json": TABLE1,
+    "one.json": _ONE,
+    "three.json": _THREE,
+    "indiff.json": _with(agents=[{"belief": None, "utility": None}] * 3),
+    "weights.json": {"weights": {"belief": [2, 1], "utility": [2, 1]}},
+    "pref_a.json": PREF_A,
+    "pref_b.json": PREF_B,
+    "pref_x.json": {"belief": PREF_A["belief"], "grid": [0, 0.5, 1], "utility": {"a": 1, "z": 0}},
+    "acts.json": ACTS,
+    "acts_obj.json": {"acts": 5},
+    "acts_empty.json": {"acts": {}},
+    "acts_short.json": {"acts": {"f": [[0, 1]]}},
+    "acts_int.json": {"acts": {"f": 5}},
+    "acts_num.json": {"acts": {"f": [[0, "x", "a"]]}},
+    "acts_gap.json": {"acts": {"f": [[0, 0.5, "a"]]}},
+    "acts_unknown.json": {"acts": {"f": [[0, 1, "z"]]}},
+    "broken.json": '{"acts": [\n  oops\n}',
+    "q_identity.json": {"pieces": [[0, 1, 0, 1, 1]]},
+    "q_fold.json": {"pieces": [[0, 0.5, 0, 1, 1], [0.5, 1, 0, 1, -1]]},
+    "q_nopieces.json": {"x": 1},
+    "q_list.json": [1, 2],
+    "q_short.json": {"pieces": [[0, 1, 0, 1]]},
+    "q_int.json": {"pieces": 5},
+    "q_empty.json": {"pieces": []},
+    "q_orient2.json": {"pieces": [[0, 1, 0, 1, 2]]},
+    "q_orient_x.json": {"pieces": [[0, 1, 0, 1, "x"]]},
+    "q_orient17.json": {"pieces": [[0, 1, 0, 1, 1.7]]},
+    "q_cover.json": {"pieces": [[0, 1, 0, 0.5, 1]]},
+    "q_flat.json": {"pieces": [[0, 1, 0.5, 0.5, 1]]},
+}
+
+# sha256 of [exit code, stdout, stderr], first 16 hex digits.  Written CSV
+# and SVG files are left out: their support rows come from numpy's matmul,
+# whose bits depend on the BLAS kernel.
+_PINNED_CALLS = [
+    ("aggregate table1.json", "27a4fd2be642cbf7"),
+    ("aggregate table1.json --acts acts.json", "0235633fc53cc3c7"),
+    ("aggregate table1.json --swf swf4 --acts acts.json", "e2519003e7367ed2"),
+    ("aggregate table1.json --swf weighted --params weights.json", "b585fd0052eaeed4"),
+    ("aggregate indiff.json", "c83d7926a0557540"),
+    ("aggregate table1.json --acts acts_obj.json", "67cee9a8d009a5f9"),
+    ("aggregate table1.json --acts acts_empty.json", "e14b8b99645fc7a3"),
+    ("aggregate table1.json --acts acts_short.json", "769425f884923978"),
+    ("aggregate table1.json --acts acts_int.json", "02b539a28cc3395f"),
+    ("aggregate table1.json --acts acts_num.json", "aa2dcd914a149e95"),
+    ("aggregate table1.json --acts acts_gap.json", "ded9cac1afd46c7d"),
+    ("aggregate table1.json --acts acts_unknown.json", "9300b1dbe8c7fed7"),
+    ("aggregate table1.json --acts broken.json", "25b429b7caaf7dcd"),
+    ("aggregate table1.json --acts nope.json", "48f2b2397a4f43cf"),
+    ("axiom-report --trials 2", "54b916ff155b72eb"),
+    ("axiom-report --swf swf3 --trials 2 --out report.json", "c9c63f3366fe62e5"),
+    ("axiom-report --swf swf5 --trials 2 --pareto", "5ceb9bdaa0895a51"),
+    ("axiom-report table1.json --swf swf4 --trials 3", "122e1cd433bc5b0c"),
+    ("axiom-report table1.json --swf baru --trials 2", "54b916ff155b72eb"),
+    ("axiom-report three.json --swf swf6 --trials 2", "4ebb26bee34cfbde"),
+    ("axiom-report --trials 0", "6db2943acf7c3865"),
+    ("image one.json", "0e6f79c035787f5b"),
+    ("image table1.json", "87b58416253467a5"),
+    ("image table1.json --svg t.svg --csv t.csv", "5e68451bb130f35d"),
+    ("image table1.json --restrict ,c,d --svg r.svg", "1c22dfafad7df7cc"),
+    ("image table1.json --restrict q_identity.json", "bfeb23f0f967edd6"),
+    ("image table1.json --restrict q_fold.json,c,d --csv f.csv", "324324e132c2ec76"),
+    ("image table1.json --restrict ,c,z", "9b3146b8e4e4a722"),
+    ("image table1.json --restrict q_nopieces.json", "3a432caf9ccb2655"),
+    ("image table1.json --restrict q_list.json", "e41e9d4da8c75657"),
+    ("image table1.json --restrict q_short.json", "21237019078fa462"),
+    ("image table1.json --restrict q_int.json", "fdfac54ab3f10536"),
+    ("image table1.json --restrict q_empty.json", "e4f66a15222b0bde"),
+    ("image table1.json --restrict q_orient2.json", "3812886a14090930"),
+    ("image table1.json --restrict q_orient_x.json", "43272025e30d05e6"),
+    ("image table1.json --restrict q_cover.json", "c9439135f84bb0cf"),
+    ("image table1.json --restrict q_flat.json", "435ff06c0cdd8eeb"),
+    ("image table1.json --restrict broken.json", "25b429b7caaf7dcd"),
+    ("image table1.json --restrict nope.json", "48f2b2397a4f43cf"),
+    ("image three.json --svg s.svg", "f06836cce03b304b"),
+    ("image three.json --csv x.csv --svg y.svg", "f06836cce03b304b"),
+    ("image indiff.json", "c4c0344a89ab4f47"),
+    ("image table1.json --restrict q_orient17.json", "84cb0a91f6b06978"),
+    ("scenario table1", "46ca7ced26bb49e2"),
+    ("scenario horses", "93a66acafaba4879"),
+    ("scenario fig1", "26132e5954f0bc39"),
+    ("scenario fig1 --svg g.svg --csv g.csv", "f405a9415282422e"),
+    ("distance pref_a.json pref_b.json", "820f52b7d8faf56f"),
+    ("distance table1.json table1.json --agent-a 0 --agent-b 1", "820f52b7d8faf56f"),
+    ("distance table1.json table1.json --agent-a 0 --agent-b 2", "25e6da1ccd631e7d"),
+    ("distance table1.json pref_b.json", "050f85b631ed5cb0"),
+    ("distance table1.json pref_b.json --agent-a 7", "04ec4476e2864a16"),
+    ("distance pref_a.json pref_x.json", "1f4a17c3c6a5df41"),
+]
+
+
+def _call_digest(argv, capsys):
+    try:
+        code = main(argv)
+    except Exception as exc:  # the console script would print a traceback
+        code = f"raised {type(exc).__name__}: {exc}"
+    captured = capsys.readouterr()
+    return hashlib.sha256(json.dumps([code, captured.out, captured.err]).encode()).hexdigest()[:16]
+
+
+def test_cli_bytes_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, data in _PIN_FILES.items():
+        (tmp_path / name).write_text(data if isinstance(data, str) else json.dumps(data))
+    for call, pin in _PINNED_CALLS:
+        assert _call_digest(call.split(), capsys) == pin, f"`baru {call}` moved"

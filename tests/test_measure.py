@@ -221,6 +221,16 @@ def test_coarsening_rejects_partial_source_or_target():
         Coarsening(((0.0, 1.0, 0.0, 0.5, +1),))  # target misses [0.5, 1)
 
 
+def test_coarsening_from_dict_refuses_non_integral_orient():
+    fold = Coarsening(((0.0, 0.5, 0.0, 1.0, +1), (0.5, 1.0, 0.0, 1.0, -1)))
+    again = Coarsening.from_dict(fold.as_dict())
+    assert again == fold and repr(again) == repr(fold)
+    assert type(Coarsening.from_dict({"pieces": [[0, 1, 0, 1, 1.0]]}).pieces[0][4]) is int
+    for orient in (1.7, -1.5, 0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="orient must be"):
+            Coarsening.from_dict({"pieces": [[0, 1, 0, 1, orient]]})
+
+
 @st.composite
 def densities(draw):
     n = draw(st.integers(min_value=1, max_value=5))
