@@ -373,7 +373,8 @@ def image_polytope(
     vertices: tuple | None = None
     if geom.dimension == 1:
         hi = float(support_values(geom, np.array([[1.0]]))[0])
-        lo = -float(support_values(geom, np.array([[-1.0]]))[0])
+        # 0.0 - h, not -h: a least expected utility of 0 reads 0.0, not -0.0
+        lo = 0.0 - float(support_values(geom, np.array([[-1.0]]))[0])
         vertices = ((lo,), (hi,))
     elif geom.dimension == 2:
         vertices = minkowski_polygon(geom)

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from math import fsum
 from operator import mul
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .axioms import (
     AxiomVerdict,
@@ -84,12 +84,48 @@ def random_space(rng: random.Random, lo: int = 4, hi: int = 6) -> OutcomeSpace:
     return OutcomeSpace(tuple(f"o{k + 1}" for k in range(n)))
 
 
+# Each random object below has one builder, which every draw goes through.
+
+
+def _lattice_breakpoints(rng: random.Random, k: int) -> tuple[float, ...]:
+    """0, k - 1 distinct random cuts on the 1/GRID lattice, and 1: the
+    breakpoints of k cells."""
+    cuts = sorted(rng.sample(range(1, GRID), k - 1))
+    return (0.0, *(c / GRID for c in cuts), 1.0)
+
+
+def _utility_values(rng: random.Random, labels: Sequence[str]) -> dict[str, float]:
+    """0 at one random label, 1 at another, and uniform on [0.05, 0.95] at
+    the rest, in label order."""
+    lo, hi = rng.sample(labels, 2)
+    return {
+        lab: 0.0 if lab == lo else 1.0 if lab == hi else rng.uniform(0.05, 0.95)
+        for lab in labels
+    }
+
+
+def _convex_weights(rng: random.Random, k: int) -> list[float]:
+    """k weights, each uniform on [0.05, 1] before they are scaled to sum to 1."""
+    ws = [rng.uniform(0.05, 1.0) for _ in range(k)]
+    tot = fsum(ws)
+    return [w / tot for w in ws]
+
+
+def _placed_profile(
+    space: OutcomeSpace, n: int, slots: Sequence[int], prefs: Iterable[Preference]
+) -> Profile:
+    """n agents, the k-th preference in the k-th slot and complete
+    indifference elsewhere."""
+    agents = [INDIFFERENT] * n
+    for i, p in zip(slots, prefs):
+        agents[i] = p
+    return Profile(space, tuple(agents))
+
+
 def random_density(rng: random.Random) -> Density:
     """Piecewise-constant density with breakpoints on the 1/GRID lattice."""
-    k = rng.randint(2, 4)
-    cuts = sorted(rng.sample(range(1, GRID), k - 1))
-    bps = (0.0, *(c / GRID for c in cuts), 1.0)
-    raw = [rng.uniform(0.15, 2.0) for _ in range(k)]
+    bps = _lattice_breakpoints(rng, rng.randint(2, 4))
+    raw = [rng.uniform(0.15, 2.0) for _ in bps[1:]]
     total = fsum(v * (bps[j + 1] - bps[j]) for j, v in enumerate(raw))
     return Density(bps, tuple(v / total for v in raw))
 
@@ -97,24 +133,17 @@ def random_density(rng: random.Random) -> Density:
 def random_utility(rng: random.Random, space: OutcomeSpace) -> Utility:
     """Utility 0 at one random outcome, 1 at another, and uniform on
     [0.05, 0.95] at the rest."""
-    lo, hi = rng.sample(space.labels, 2)
-    vals = {}
-    for lab in space.labels:
-        if lab == lo:
-            vals[lab] = 0.0
-        elif lab == hi:
-            vals[lab] = 1.0
-        else:
-            vals[lab] = rng.uniform(0.05, 0.95)
-    return Utility(vals)
+    return Utility(_utility_values(rng, space.labels))
+
+
+def _random_preference(rng: random.Random, space: OutcomeSpace) -> Preference:
+    return Preference(random_density(rng), random_utility(rng, space))
 
 
 def random_act(rng: random.Random, space: OutcomeSpace) -> Act:
-    k = rng.randint(2, 5)
-    cuts = sorted(rng.sample(range(1, GRID), k - 1))
-    bps = (0.0, *(c / GRID for c in cuts), 1.0)
+    bps = _lattice_breakpoints(rng, rng.randint(2, 5))
     return Act.from_segments(
-        tuple((bps[j], bps[j + 1], rng.choice(space.labels)) for j in range(k)),
+        tuple((a, b, rng.choice(space.labels)) for a, b in zip(bps, bps[1:])),
         merge=True,
     )
 
@@ -150,10 +179,7 @@ def random_profile(
     k = n_concerned if n_concerned is not None else (2 if rng.random() < 0.7 else 3)
     slots = sorted(rng.sample(range(n), min(k, n)))
     for _ in range(30):
-        prefs: list[Preference] = [INDIFFERENT] * n
-        for i in slots:
-            prefs[i] = Preference(random_density(rng), random_utility(rng, space))
-        prof = Profile(space, tuple(prefs))
+        prof = _placed_profile(space, n, slots, [_random_preference(rng, space) for _ in slots])
         if not _is_common_utility(prof):
             return prof
     raise ScenarioRejected("could not draw a non-common-utility profile")
@@ -305,17 +331,13 @@ def rm_scenario(
         # two agents whose utilities sum to a constant leave society
         # completely indifferent under equal-weight rules
         u = random_utility(rng, space)
-        prefs: list[Preference] = [INDIFFERENT] * n
-        prefs[1] = Preference(random_density(rng), u)
-        prefs[2] = Preference(random_density(rng), reversal(u))
-        base = Profile(space, tuple(prefs))
-        newpref = Preference(random_density(rng), random_utility(rng, space))
+        pair = (Preference(random_density(rng), u), Preference(random_density(rng), reversal(u)))
+        base = _placed_profile(space, n, (1, 2), pair)
+        newpref = _random_preference(rng, space)
         labs = newpref.utility.labels
         lo = min(labs, key=newpref.utility.value)
         hi = max(labs, key=newpref.utility.value)
-        f = Act.from_segments(((0.0, 1.0, hi),))
-        g = Act.from_segments(((0.0, 1.0, lo),))
-        return base, 0, newpref, f, g
+        return base, 0, newpref, Act.constant(hi), Act.constant(lo)
 
     base = random_profile(rng, space, n_agents=n, n_concerned=2)
     agent = next(i for i in range(n) if base.agents[i].is_indifferent)
@@ -385,29 +407,17 @@ def ira_scenario(
     n = rng.randint(3, 4)
     slots = sorted(rng.sample(range(n), 2))
 
-    def base_vals() -> list[dict[str, float]]:
-        per_agent: list[dict[str, float]] = []
-        for _ in slots:
-            lo, hi = rng.sample(outcomes, 2)
-            vals = {}
-            for lab in outcomes:
-                vals[lab] = 0.0 if lab == lo else 1.0 if lab == hi else rng.uniform(0.05, 0.95)
-            per_agent.append(vals)
-        return per_agent
-
     def fill_off(per_agent: list[dict[str, float]]) -> list[dict[str, float]]:
         # off-subset utility vectors sit strictly inside the hull of the
         # subset's vectors, one shared convex weighting per outcome
         filled = [dict(v) for v in per_agent]
         for lab in off:
-            ws = [rng.uniform(0.05, 1.0) for _ in outcomes]
-            tot = fsum(ws)
-            lam = [w / tot for w in ws]
+            lam = _convex_weights(rng, m)
             for vals in filled:
                 vals[lab] = fsum(l * vals[o] for l, o in zip(lam, outcomes))
         return filled
 
-    on_vals = base_vals()
+    on_vals = [_utility_values(rng, outcomes) for _ in slots]
     if max(abs(on_vals[0][o] - on_vals[1][o]) for o in outcomes) < 0.05:
         raise ScenarioRejected("agents nearly share a utility on the subset")
     u1 = fill_off(on_vals)
@@ -418,9 +428,9 @@ def ira_scenario(
         flats = [_pairflat_density(rng) for _ in slots]
         beliefs1 = [d for d, _ in flats]
         tilts = [rng.uniform(-0.4, 0.4) for _ in range(8)]
+        bps = tuple(j / GRID for j in range(GRID + 1))
         beliefs2 = []
         for _, vals in flats:
-            bps = tuple(j / GRID for j in range(GRID + 1))
             vv = []
             for j, v in enumerate(vals):
                 vv.extend((v * (1.0 + tilts[j]), v * (1.0 - tilts[j])))
@@ -430,13 +440,9 @@ def ira_scenario(
         beliefs1 = [random_density(rng) for _ in slots]
         beliefs2 = list(beliefs1)
 
-    def build(beliefs: list[Density], utils: list[dict[str, float]]) -> Profile:
-        prefs: list[Preference] = [INDIFFERENT] * n
-        for k, i in enumerate(slots):
-            prefs[i] = Preference(beliefs[k], Utility(utils[k]))
-        return Profile(space, tuple(prefs))
-
-    return build(beliefs1, u1), build(beliefs2, u2), q, outcomes
+    p1 = _placed_profile(space, n, slots, map(Preference, beliefs1, map(Utility, u1)))
+    p2 = _placed_profile(space, n, slots, map(Preference, beliefs2, map(Utility, u2)))
+    return p1, p2, q, outcomes
 
 
 def pareto_scenario(
@@ -459,9 +465,7 @@ def pareto_scenario(
             x, y = rng.sample(prof.space.labels, 2)
             diffs = [u.value(x) - u.value(y) for u in utils]
             if all(d >= 1e-3 for d in diffs) or all(d <= -1e-3 for d in diffs):
-                f = Act.from_segments(((0.0, 1.0, x),))
-                g = Act.from_segments(((0.0, 1.0, y),))
-                return prof, f, g
+                return prof, Act.constant(x), Act.constant(y)
         raise ScenarioRejected("no unanimous pair of constant acts")
     beliefs = [prof.agents[i].belief for i in ids]
     labs = prof.space.labels
@@ -471,9 +475,7 @@ def pareto_scenario(
     floor = max(lows)
     star = labs[lows.index(floor)]
     for _ in range(60):
-        raw = [rng.uniform(0.05, 1.0) for _ in labs]
-        tot = fsum(raw)
-        ps = [v / tot for v in raw]
+        ps = _convex_weights(rng, len(labs))
         evs = [fsum(map(mul, row, ps)) for row in rows]
         if floor < max(evs) + 0.05:
             continue
@@ -500,12 +502,9 @@ def continuity_scenario(rng: random.Random, twin: bool) -> tuple[Profile, int]:
     space = random_space(rng)
     n = rng.randint(3, 4)
     slots = sorted(rng.sample(range(n), 3))
-    shared = Preference(random_density(rng), random_utility(rng, space))
-    prefs: list[Preference] = [INDIFFERENT] * n
-    prefs[slots[0]] = shared
-    prefs[slots[1]] = Preference(shared.belief, shared.utility)
-    prefs[slots[2]] = Preference(random_density(rng), random_utility(rng, space))
-    prof = Profile(space, tuple(prefs))
+    shared = _random_preference(rng, space)
+    placed = (shared, Preference(shared.belief, shared.utility), _random_preference(rng, space))
+    prof = _placed_profile(space, n, slots, placed)
     if _is_common_utility(prof):
         raise ScenarioRejected("twin profile degenerated to a common utility")
     return prof, slots[1]

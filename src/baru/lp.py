@@ -23,8 +23,6 @@ from math import inf
 from numbers import Real
 from operator import add, mul
 
-import numpy as np
-
 # Pivot candidates below this magnitude are treated as zero.
 PIVOT_EPS = 1e-11
 # Residual sum of artificials above this means "no feasible point".
@@ -88,7 +86,10 @@ def feasible_point(A, b, upper=None) -> list[float] | None:
         # Round-off from many pivots can leave the tableau claiming a
         # feasible basis whose point misses A x = b.  Rebuild the tableau
         # from the original data as B^-1 [A | I | b], complemented columns
-        # negated with their bounds moved into b, and pivot on.
+        # negated with their bounds moved into b, and pivot on.  Only this
+        # repair needs numpy, so only it imports numpy.
+        import numpy as np
+
         A, b = np.array(rows), np.array(rhs)
         shifted = b - A @ np.where(flipped[:n], bounds[:n], 0.0)
         full = np.hstack([np.where(flipped[:n], -A, A), np.eye(m), shifted[:, None]])

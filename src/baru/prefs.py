@@ -22,6 +22,7 @@ from .measure import (
     TOL_MEASURE,
     Density,
     Infeasible,
+    cell_values,
     interval_masses,
     merged_breakpoints,
     segment_masses,
@@ -399,11 +400,9 @@ def realize_lottery_act(
 
 def _cut_at_mass(density: Density, a: float, b: float, target: float) -> float:
     """Leftmost c in [a, b] with density-mass of [a, c) equal to target."""
-    inner = [p for p in density.breakpoints if a < p < b]
-    edges = [a] + inner + [b]
+    edges = [a, *(p for p in density.breakpoints if a < p < b), b]
     acc = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v = density.value_at(lo)
+    for lo, hi, v in zip(edges, edges[1:], cell_values(density, edges)):
         m = v * (hi - lo)
         if acc + m >= target - 1e-15:
             if v <= 0.0:

@@ -633,7 +633,7 @@ _PINNED_CALLS = [
     ("axiom-report table1.json --swf baru --trials 2", "54b916ff155b72eb"),
     ("axiom-report three.json --swf swf6 --trials 2", "4ebb26bee34cfbde"),
     ("axiom-report --trials 0", "6db2943acf7c3865"),
-    ("image one.json", "0e6f79c035787f5b"),
+    ("image one.json", "69f2f16289b9f31a"),
     ("image table1.json", "87b58416253467a5"),
     ("image table1.json --svg t.svg --csv t.csv", "5e68451bb130f35d"),
     ("image table1.json --restrict ,c,d --svg r.svg", "1c22dfafad7df7cc"),

@@ -337,6 +337,16 @@ def test_single_agent_image_is_segment():
     assert poly.vertices == ((0.0,), (1.0,))
 
 
+def test_one_agent_image_lower_vertex_is_positive_zero():
+    # every one-agent image's least expected utility is 0; the vertex reads
+    # 0.0, which the CLI prints as 0.0, not -0.0
+    for seed in range(20):
+        profile = random_profile(random.Random(seed), n_concerned=1)
+        (lo,), (hi,) = image_polytope(profile).vertices
+        assert lo == 0.0 and math.copysign(1.0, lo) == 1.0
+        assert 0.0 < hi <= 1.0
+
+
 def test_three_agent_vertices_are_attained_and_deduped(rng):
     profile = random_profile(rng, space=SPACE, n_agents=3, n_concerned=3)
     poly = image_polytope(profile)

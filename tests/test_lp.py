@@ -423,6 +423,11 @@ def test_list_tableau_matches_numpy_tableau_bits(monkeypatch):
     assert min(tally.values()) >= 30, tally
 
 
+def test_lp_binds_no_numpy():
+    # only the drift repair uses numpy, and it imports numpy itself
+    assert not {"np", "numpy"} & set(vars(lp))
+
+
 def test_list_tableau_accepts_nested_lists():
     A = [[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]]
     b, upper = [0.4, 0.4], [1.0, 0.5, 1.0]

@@ -27,7 +27,9 @@ from baru import (
     realize_lottery_act,
     simple_reduction,
 )
+from baru.harness import random_density
 from baru.measure import merged_breakpoints, segment_masses
+from baru.prefs import _cut_at_mass
 
 SPACE = OutcomeSpace(("a", "b", "c", "d"))
 
@@ -261,6 +263,44 @@ def test_simple_reduction_bounds_range_per_group(rng):
     for lab in reduced.outcomes_used():
         groups[u_shared.value(lab)].add(lab)
     assert all(len(g) <= 2 for g in groups.values())
+
+
+def _cut_at_mass_per_edge(density, a, b, target):
+    """`_cut_at_mass` with one `value_at` search per cell, kept as the
+    reference for the bits of the one-walk version."""
+    inner = [p for p in density.breakpoints if a < p < b]
+    edges = [a] + inner + [b]
+    acc = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        v = density.value_at(lo)
+        m = v * (hi - lo)
+        if acc + m >= target - 1e-15:
+            if v <= 0.0:
+                return lo
+            return min(lo + (target - acc) / v, hi)
+        acc += m
+    return b
+
+
+def test_cut_at_mass_matches_per_edge_reference():
+    # lattice densities from the batteries' draw and densities with
+    # arbitrary breakpoints and zero cells; interval ends fall on
+    # breakpoints, on 0 and 1, or anywhere, and targets run past the mass
+    rng = random.Random(4242)
+    for trial in range(3000):
+        if trial % 2:
+            density = random_density(rng)
+        else:
+            bps = (0.0, *sorted(rng.sample([rng.random() for _ in range(8)], rng.randint(1, 5))), 1.0)
+            masses = [0.0 if rng.random() < 0.3 else rng.random() for _ in bps[1:]]
+            masses[-1] += 1e-3
+            total = math.fsum(masses)
+            density = Density.from_masses(bps, [m / total for m in masses])
+        ends = [*density.breakpoints, rng.random(), rng.random()]
+        a, b = sorted(rng.choice(ends) for _ in range(2))
+        target = rng.uniform(0.0, 1.2) * density.mass(a, b)
+        got = _cut_at_mass(density, a, b, target)
+        assert got.hex() == _cut_at_mass_per_edge(density, a, b, target).hex()
 
 
 def test_preference_distance_identical_zero(table1):
