@@ -39,6 +39,7 @@ from .prefs import (
     Profile,
     Utility,
     _cut_at_mass,
+    _exact_utility,
     compare,
     discount_to_belief,
     pushforward,
@@ -132,8 +133,8 @@ def random_density(rng: random.Random) -> Density:
 
 def random_utility(rng: random.Random, space: OutcomeSpace) -> Utility:
     """Utility 0 at one random outcome, 1 at another, and uniform on
-    [0.05, 0.95] at the rest."""
-    return Utility(_utility_values(rng, space.labels))
+    [0.05, 0.95] at the rest: an `_exact_utility`."""
+    return _exact_utility(_utility_values(rng, space.labels))
 
 
 def _random_preference(rng: random.Random, space: OutcomeSpace) -> Preference:
@@ -149,22 +150,27 @@ def random_act(rng: random.Random, space: OutcomeSpace) -> Act:
 
 
 def reversal(u: Utility) -> Utility:
-    return Utility({lab: 1.0 - u.value(lab) for lab in u.labels})
+    """1 - u.  It swaps u's exact 0 and 1 and keeps every other value in
+    [0, 1], so the reversal of a drawn utility is an `_exact_utility`."""
+    return _exact_utility({lab: 1.0 - v for lab, v in u.items})
 
 
 def _is_common_utility(profile: Profile) -> bool:
-    """All concerned agents share one utility up to reversal, within TOL_MEASURE."""
+    """All concerned agents share one utility up to reversal, within
+    TOL_MEASURE.  Each agent's values are read once, and the comparison
+    with the first agent ends at the first outcome that rules out both."""
     ids = profile.concerned
     if len(ids) < 2:
         return False
     labs = profile.space.labels
-    base = profile.agents[ids[0]].utility
+    base = profile.agents[ids[0]].utility.values_of(labs)
     for i in ids[1:]:
-        u = profile.agents[i].utility
-        same = all(abs(u.value(l) - base.value(l)) <= TOL_MEASURE for l in labs)
-        rev = all(abs(u.value(l) - (1.0 - base.value(l))) <= TOL_MEASURE for l in labs)
-        if not (same or rev):
-            return False
+        same = rev = True
+        for x, b in zip(profile.agents[i].utility.values_of(labs), base):
+            same = same and abs(x - b) <= TOL_MEASURE
+            rev = rev and abs(x - (1.0 - b)) <= TOL_MEASURE
+            if not (same or rev):
+                return False
     return True
 
 
@@ -389,12 +395,11 @@ def _merge_pairs_coarsening() -> Coarsening:
     return Coarsening(tuple(pieces))
 
 
-def _pairflat_density(rng: random.Random) -> tuple[Density, list[float]]:
-    """Density constant on each sibling pair of 1/16 cells; returns the
-    eight pair values too."""
+def _pairflat_density(rng: random.Random) -> Density:
+    """Density constant on each sibling pair of 1/16 cells, with its eight
+    values on the 1/8 grid."""
     raw = [rng.uniform(0.15, 2.0) for _ in range(8)]
-    d = discount_to_belief([j / 8 for j in range(9)], raw)
-    return d, list(d.values)
+    return discount_to_belief([j / 8 for j in range(9)], raw)
 
 
 def ira_scenario(
@@ -425,14 +430,13 @@ def ira_scenario(
 
     if variant == "merge":
         q = _merge_pairs_coarsening()
-        flats = [_pairflat_density(rng) for _ in slots]
-        beliefs1 = [d for d, _ in flats]
+        beliefs1 = [_pairflat_density(rng) for _ in slots]
         tilts = [rng.uniform(-0.4, 0.4) for _ in range(8)]
         bps = tuple(j / GRID for j in range(GRID + 1))
         beliefs2 = []
-        for _, vals in flats:
+        for d in beliefs1:
             vv = []
-            for j, v in enumerate(vals):
+            for j, v in enumerate(d.values):
                 vv.extend((v * (1.0 + tilts[j]), v * (1.0 - tilts[j])))
             beliefs2.append(Density(bps, tuple(vv)))
     else:

@@ -162,16 +162,22 @@ def _normalized_utility(labels: Sequence[str], vals: Sequence[float]) -> Utility
     `_merge`: `vals[k]` is the raw utility of `labels[k]`.  Non-finite
     values raise ValueError; a range of at most TOL_EXACT is the constant
     utility, None.  Otherwise (v - lo) / span is exactly 0 at the minimum
-    and exactly 1 at the maximum, so `Utility`'s checks cannot fail and are
-    skipped."""
+    and exactly 1 at the maximum, an `_exact_utility`."""
     if not all(map(isfinite, vals)):
         raise ValueError("utility values must be finite")
     lo = min(vals)
     span = max(vals) - lo
     if span <= TOL_EXACT:
         return None
+    return _exact_utility(dict(zip(labels, [(v - lo) / span for v in vals])))
+
+
+def _exact_utility(data: dict[str, float]) -> Utility:
+    """`Utility(data)` for string labels and finite float values whose
+    minimum is exactly 0 and maximum exactly 1 by construction: its checks
+    cannot fail, so they are skipped."""
     util = Utility.__new__(Utility)
-    _LabelledVector.__init__(util, dict(zip(labels, [(v - lo) / span for v in vals])))
+    _LabelledVector.__init__(util, data)
     return util
 
 
@@ -268,6 +274,24 @@ class Preference:
 INDIFFERENT = Preference(None, None)
 
 
+def _checked_concerned(
+    space: OutcomeSpace, agents: Sequence[Preference], first: int = 0
+) -> tuple[int, ...]:
+    """Indices, counted from `first`, of the agents that are not completely
+    indifferent; raises ValueError at the first agent that is not a
+    preference over the space's outcomes."""
+    want = space._index.keys()
+    concerned = []
+    for k, pref in enumerate(agents, first):
+        if not isinstance(pref, Preference):
+            raise ValueError(f"agent {k} is not a Preference")
+        if not pref.is_indifferent:
+            if pref.utility._map.keys() != want:
+                raise ValueError(f"agent {k} utility is not over the profile's outcomes")
+            concerned.append(k)
+    return tuple(concerned)
+
+
 @dataclass(frozen=True)
 class Profile:
     """Society: an outcome space plus one preference per agent (>= 3)."""
@@ -279,35 +303,39 @@ class Profile:
     def __post_init__(self) -> None:
         if len(self.agents) < 3:
             raise ValueError("a profile needs at least three agents")
-        want = self.space._index.keys()
-        concerned = []
-        for k, pref in enumerate(self.agents):
-            if not isinstance(pref, Preference):
-                raise ValueError(f"agent {k} is not a Preference")
-            if not pref.is_indifferent:
-                if pref.utility._map.keys() != want:
-                    raise ValueError(f"agent {k} utility is not over the profile's outcomes")
-                concerned.append(k)
-        object.__setattr__(self, "_concerned", tuple(concerned))
+        object.__setattr__(self, "_concerned", _checked_concerned(self.space, self.agents))
 
     @property
     def concerned(self) -> tuple[int, ...]:
         return self._concerned
 
+    def _derived(self, agents: list[Preference]) -> "Profile":
+        """This space with agents that each passed `_checked_concerned`
+        against it, so that nothing is checked again."""
+        out = object.__new__(Profile)
+        object.__setattr__(out, "space", self.space)
+        object.__setattr__(out, "agents", tuple(agents))
+        object.__setattr__(
+            out, "_concerned", tuple([k for k, p in enumerate(agents) if p.belief is not None])
+        )
+        return out
+
     def replace(self, agent: int, pref: Preference) -> "Profile":
+        """This profile with `pref` in slot `agent`; only `pref` is checked."""
         agents = list(self.agents)
         agents[agent] = pref
-        return Profile(self.space, tuple(agents))
+        _checked_concerned(self.space, (pref,), range(len(agents))[agent])
+        return self._derived(agents)
 
     def permuted(self, perm: Sequence[int]) -> "Profile":
         if sorted(perm) != list(range(len(self.agents))):
             raise ValueError("not a permutation of the agents")
-        return Profile(self.space, tuple(self.agents[i] for i in perm))
+        return self._derived([self.agents[i] for i in perm])
 
     def swapped(self, i: int, j: int) -> "Profile":
-        perm = list(range(len(self.agents)))
-        perm[i], perm[j] = perm[j], perm[i]
-        return self.permuted(perm)
+        agents = list(self.agents)
+        agents[i], agents[j] = agents[j], agents[i]
+        return self._derived(agents)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import atan2, fsum, inf, sqrt
+from math import atan2, fsum, inf, isfinite, sqrt
 from operator import add, mul, sub
 from typing import Callable, Sequence
 
@@ -83,6 +83,28 @@ class SwfResult:
         return Comparison(self.ev(f) - self.ev(g))
 
 
+def _column_sums(weights: Sequence[float], rows: Sequence[Sequence[float]]) -> list[float]:
+    """`fsum(map(mul, weights, col))` of each column of `rows`, bit for bit.
+
+    With one or two rows a column is one float add: IEEE addition rounds
+    the exact sum of the two products to nearest even, as fsum does, and
+    the trailing `+ 0.0` turns a -0.0 into fsum's 0.0.  Both are
+    symmetric in the rows.  A sum that is not finite (an overflow, an
+    infinite or NaN term) is redone by fsum, which returns or raises as it
+    always has; three or more rows go to fsum directly."""
+    if len(rows) == 1:
+        (w,) = weights
+        sums = [w * v + 0.0 for v in rows[0]]
+    elif len(rows) == 2:
+        w0, w1 = weights
+        sums = [w0 * a + w1 * b + 0.0 for a, b in zip(*rows)]
+    else:
+        sums = None
+    if sums is None or not all(map(isfinite, sums)):
+        sums = [fsum(map(mul, weights, col)) for col in zip(*rows)]
+    return sums
+
+
 def _merge(
     profile: Profile,
     contribs: Sequence[tuple[int, Preference, float, float]],
@@ -91,11 +113,11 @@ def _merge(
 
     Each contribution is (agent_id, preference, belief_weight,
     utility_weight).  Belief weights are renormalized to sum to one;
-    utility weights are applied as given.  fsum keeps the aggregation
-    independent of contributor order.  Each contributor's utilities are
-    read once, in the space's label order (a label it lacks raises
-    ValueError), and their weighted sums are normalized in that order by
-    the rule `normalize_utility` applies."""
+    utility weights are applied as given.  `_column_sums` keeps the
+    aggregation independent of contributor order.  Each contributor's
+    utilities are read once, in the space's label order (a label it lacks
+    raises ValueError), and their weighted sums are normalized in that
+    order by the rule `normalize_utility` applies."""
     concerned = profile.concerned
     live = [(i, p, bw, uw) for i, p, bw, uw in contribs if not p.is_indifferent]
     if not live:
@@ -108,12 +130,12 @@ def _merge(
     weights = [w for w, _ in believers]
     # one row per believer, one column per cell of the common grid
     rows = [cell_values(d, bps) for _, d in believers]
-    belief = Density(bps, tuple([fsum(map(mul, weights, col)) for col in zip(*rows)]))
+    belief = Density(bps, tuple(_column_sums(weights, rows)))
     labels = profile.space.labels
     uws = [uw for _, _, _, uw in live]
     # one row per contributor, one column per outcome
     utils = [p.utility.values_of(labels) for _, p, _, _ in live]
-    sums = [fsum(map(mul, uws, col)) for col in zip(*utils)]
+    sums = _column_sums(uws, utils)
     norm = _normalized_utility(labels, sums)
     pref = INDIFFERENT if norm is None else Preference(belief, norm)
     return SwfResult(

@@ -625,8 +625,8 @@ def test_fiber_residual_counts_pushed_masses_off_the_fiber_totals():
     # the fiber totals' distance from the given pushed masses is left
     rng = random.Random(1818)
     q = harness._merge_pairs_coarsening()
-    beliefs = [harness._pairflat_density(rng)[0] for _ in range(2)]
-    others = [harness._pairflat_density(rng)[0] for _ in range(2)]
+    beliefs = [harness._pairflat_density(rng) for _ in range(2)]
+    others = [harness._pairflat_density(rng) for _ in range(2)]
     residual = _fiber_residual(q, beliefs, [pushforward_coarsening(q, d) for d in others])
     cells = [(j / 8, (j + 1) / 8) for j in range(8)]
     want = sum(abs(d.mass(a, b) - e.mass(a, b)) for d, e in zip(beliefs, others) for a, b in cells)
@@ -658,7 +658,7 @@ def test_certify_proportional_fibers_off_subset_vertex_takes_kink_path():
     # the polygon path decides
     rng = random.Random(1717)
     q = harness._merge_pairs_coarsening()
-    d1, d2 = harness._pairflat_density(rng)[0], harness._pairflat_density(rng)[0]
+    d1, d2 = harness._pairflat_density(rng), harness._pairflat_density(rng)
     prof = _uv_profile(
         {"a": 0.0, "b": 1.0, "c": 0.3, "d": 1.0}, {"a": 0.0, "b": 0.2, "c": 1.0, "d": 1.0}, d1, d2
     )

@@ -15,6 +15,8 @@ from baru import (
     OutcomeSpace,
     Preference,
     Profile,
+    TOL_MEASURE,
+    Utility,
     compare,
     baru,
     preference_from_dict,
@@ -85,6 +87,60 @@ def test_random_utility_hits_bounds(rng):
         u = random_utility(rng, space)
         vals = [u.value(lab) for lab in space.labels]
         assert min(vals) == 0.0 and max(vals) == 1.0
+
+
+def test_drawn_utilities_equal_checked_ones():
+    # random_utility and reversal skip Utility's checks; the checked
+    # constructor accepts the same values and builds the same object
+    for seed in range(500):
+        a, b = random.Random(seed), random.Random(seed)
+        space = random_space(a)
+        assert random_space(b) == space
+        u = random_utility(a, space)
+        want = Utility(harness._utility_values(b, space.labels))
+        assert u == want and repr(u) == repr(want)
+        r = reversal(u)
+        want_r = Utility({lab: 1.0 - u.value(lab) for lab in u.labels})
+        assert r == want_r and repr(r) == repr(want_r)
+        assert a.getstate() == b.getstate()
+
+
+def _is_common_utility_reference(profile):
+    """`_is_common_utility` by one `value` lookup per outcome and agent."""
+    ids = profile.concerned
+    if len(ids) < 2:
+        return False
+    base = profile.agents[ids[0]].utility
+    for i in ids[1:]:
+        u = profile.agents[i].utility
+        labs = profile.space.labels
+        same = all(abs(u.value(l) - base.value(l)) <= TOL_MEASURE for l in labs)
+        rev = all(abs(u.value(l) - (1.0 - base.value(l))) <= TOL_MEASURE for l in labs)
+        if not (same or rev):
+            return False
+    return True
+
+
+def test_is_common_utility_matches_reference(rng):
+    space = OutcomeSpace(("a", "b", "c", "d", "e"))
+    near = 0.5 * TOL_MEASURE
+    for _ in range(400):
+        # the ends sit at "a" and "b", so the last outcome can be nudged
+        vals = {"a": 0.0, "b": 1.0, **{lab: rng.uniform(0.05, 0.95) for lab in "cde"}}
+        u = Utility(vals)
+        kin = [
+            u,
+            reversal(u),
+            random_utility(rng, space),
+            # equal, or reversed, but for a nudge within or past TOL_MEASURE
+            # at the last outcome only, where the first outcomes cannot decide
+            Utility({**vals, "e": vals["e"] + rng.choice((near, 3 * near))}),
+            Utility({**reversal(u).as_mapping(), "e": 1.0 - vals["e"] + rng.choice((near, 3 * near))}),
+        ]
+        others = rng.sample(kin, rng.randint(1, 3))
+        agents = [Preference(random_density(rng), w) for w in [u, *others]]
+        profile = Profile(space, tuple(agents) + (INDIFFERENT,) * max(0, 3 - len(agents)))
+        assert harness._is_common_utility(profile) == _is_common_utility_reference(profile)
 
 
 def test_random_act_tiles(rng):
@@ -503,10 +559,10 @@ def test_pairflat_density_matches_own_rescaling():
 
     for seed in range(2100):
         a, b = random.Random(seed), random.Random(seed)
-        d, vals = _pairflat_density(a)
+        d = _pairflat_density(a)
         d_ref, vals_ref = _pairflat_density_reference(b)
         assert repr(d) == repr(d_ref)
-        assert repr(vals) == repr(vals_ref) and vals == list(d.values)
+        assert repr(list(d.values)) == repr(vals_ref)
         assert a.getstate() == b.getstate()
 
 

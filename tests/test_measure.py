@@ -466,7 +466,7 @@ def test_pushforward_bits_match_per_piece_loop():
     merge = _merge_pairs_coarsening()
     seen = dict.fromkeys(("reversed", "overlap", "inner", "merge"), 0)
     for n in range(2400):
-        d = (_random_density, _float_density, lambda r: _pairflat_density(r)[0])[n % 3](rng)
+        d = (_random_density, _float_density, _pairflat_density)[n % 3](rng)
         q = merge if n % 4 == 0 else _random_coarsening(rng)
         out = pushforward_coarsening(q, d)
         assert repr(out) == repr(_pushforward_per_piece_reference(q, d))

@@ -27,7 +27,7 @@ from baru import (
     realize_lottery_act,
     simple_reduction,
 )
-from baru.harness import random_density
+from baru.harness import random_density, random_profile, random_utility
 from baru.measure import merged_breakpoints, segment_masses
 from baru.prefs import _cut_at_mass
 
@@ -137,6 +137,60 @@ def test_profile_validation():
     assert swapped.concerned == (1, 2)
     replaced = prof.replace(0, INDIFFERENT)
     assert replaced.concerned == (2,)
+
+
+def _checked(profile):
+    """The same profile built by the public constructor, with every check."""
+    return Profile(profile.space, tuple(profile.agents))
+
+
+def test_derived_profiles_equal_checked_ones():
+    # swapped and replace check nothing they received already checked
+    rng = random.Random(31)
+    for _ in range(200):
+        prof = random_profile(rng)
+        n = len(prof.agents)
+        derived = [prof.swapped(i, j) for i in range(-n, n) for j in range(n)]
+        derived += [prof.replace(i, INDIFFERENT) for i in range(-n, n)]
+        other = Preference(random_density(rng), random_utility(rng, prof.space))
+        derived += [prof.replace(i, other) for i in range(n)]
+        derived += [prof.permuted(rng.sample(range(n), n))]
+        for d in derived:
+            want = _checked(d)
+            assert d == want and hash(d) == hash(want)
+            assert d.concerned == want.concerned and type(d.concerned) is tuple
+            assert repr(d) == repr(want)
+
+
+def test_replace_checks_the_incoming_preference():
+    p = Preference(Density.uniform(), Utility({lab: float(lab == "a") for lab in SPACE.labels}))
+    prof = Profile(SPACE, (p, INDIFFERENT, p))
+    foreign = Preference(Density.uniform(), Utility({"w": 0.0, "x": 1.0, "y": 0.0, "z": 0.0}))
+    fewer = Preference(Density.uniform(), Utility({"a": 0.0, "b": 1.0, "c": 0.0}))
+    for k in (1, -2):
+        with pytest.raises(ValueError, match="^agent 1 is not a Preference$"):
+            prof.replace(k, "not a preference")
+        for bad in (foreign, fewer):
+            msg = "^agent 1 utility is not over the profile's outcomes$"
+            with pytest.raises(ValueError, match=msg):
+                prof.replace(k, bad)
+            with pytest.raises(ValueError, match=msg):
+                Profile(SPACE, (p, bad, p))
+
+
+def test_derived_profiles_refuse_out_of_range_agents():
+    p = Preference(Density.uniform(), Utility({lab: float(lab == "a") for lab in SPACE.labels}))
+    prof = Profile(SPACE, (p, INDIFFERENT, p))
+    for call in (
+        lambda: prof.swapped(0, 3),
+        lambda: prof.swapped(-4, 1),
+        lambda: prof.replace(3, INDIFFERENT),
+        lambda: prof.replace(-4, p),
+    ):
+        with pytest.raises(IndexError):
+            call()
+    with pytest.raises(ValueError, match="not a permutation"):
+        prof.permuted([0, 1, 1])
 
 
 def test_expected_utility_hand_value(table1):

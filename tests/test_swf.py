@@ -2,6 +2,7 @@
 utilities, the six flawed contrasts, the Nash solver, pooling, and the
 registry."""
 
+import hashlib
 import itertools
 import math
 import operator
@@ -41,7 +42,7 @@ from baru import (
 from baru import swf as swf_module
 from baru.axioms import continuity_probe
 from baru.geometry import ProfileGeometry, direction_set, geometry_for, minkowski_polygon
-from baru.measure import merged_breakpoints, segment_masses
+from baru.measure import cell_values, merged_breakpoints, segment_masses
 from baru.swf import (
     PHANTOM_ID,
     _canonical_order,
@@ -50,7 +51,7 @@ from baru.swf import (
     _pareto_walk,
     ramp_utility,
 )
-from baru.harness import AXIOM_SPECS, child_seed, random_profile
+from baru.harness import AXIOM_SPECS, child_seed, random_density, random_profile, random_utility
 
 SPACE = OutcomeSpace(("a", "b", "c", "d"))
 
@@ -165,6 +166,117 @@ def test_merge_missing_label_raises(table1):
     phantom = Preference(Density.uniform(), ramp_utility(OutcomeSpace(("w", "x", "y", "z"))))
     with pytest.raises(ValueError, match="unknown outcome 'a'"):
         swf3(profile, phantom)
+
+
+def _fsum_outcome(weights, rows):
+    """`_column_sums`' reference: fsum of each column's products, or the
+    type and text of what fsum raises."""
+    try:
+        return [math.fsum(map(operator.mul, weights, col)) for col in zip(*rows)]
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_column_sums_match_fsum_bit_for_bit():
+    r = random.Random(20)
+    pool = (0.0, -0.0, 1.0, -1.0, 0.1, 1e-300, -1e-300, 5e-324, 1e300, -1e300)
+
+    def draw():
+        return r.choice(pool) if r.random() < 0.3 else r.uniform(-2.0, 2.0) * 10.0 ** r.randint(-20, 20)
+
+    for k in (1, 2, 3):
+        for _ in range(3000):
+            weights = [r.uniform(0.05, 3.0) for _ in range(k)]
+            rows = [[draw() for _ in range(6)] for _ in range(k)]
+            got = swf_module._column_sums(weights, rows)
+            assert repr(got) == repr(_fsum_outcome(weights, rows))
+
+
+def test_column_sums_non_finite_follows_fsum():
+    big = 1.5e308
+    for weights, rows in (
+        ([1.0, 1.0], [[big], [big]]),  # two finite terms that overflow
+        ([1.0], [[big * 10]]),
+        ([1.0, 1.0], [[math.inf], [1.0]]),
+        ([1.0, 1.0], [[math.inf], [-math.inf]]),
+        ([1.0, 1.0], [[math.nan], [1.0]]),
+        ([1.0, 1.0, 1.0], [[big], [big], [-big]]),
+    ):
+        want = _fsum_outcome(weights, rows)
+        try:
+            got = swf_module._column_sums(weights, rows)
+        except (OverflowError, ValueError) as exc:
+            got = type(exc), str(exc)
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("n_believers", [1, 2, 3])
+def test_merge_belief_matches_fsum_reference(rng, n_believers):
+    # one, two and three believers at random weights, and a density that
+    # holds -0.0: fsum turns it into 0.0, and the short sums must too
+    signed_zero = Density((0.0, 0.25, 1.0), (4.0, -0.0))
+    for trial in range(300):
+        beliefs = [random_density(rng) for _ in range(n_believers)]
+        if trial % 3 == 0:
+            beliefs[0] = signed_zero
+        agents = [Preference(d, random_utility(rng, SPACE)) for d in beliefs]
+        profile = Profile(SPACE, tuple(agents) + (INDIFFERENT,) * max(0, 3 - n_believers))
+        bws = [rng.uniform(0.1, 3.0) for _ in agents]
+        contribs = [(i, p, bw, 1.0) for i, (p, bw) in enumerate(zip(agents, bws))]
+        total = math.fsum(bws)
+        weights = [bw / total for bw in bws]
+        bps = merged_breakpoints(beliefs)
+        want = _fsum_outcome(weights, [cell_values(d, bps) for d in beliefs])
+        belief = _merge(profile, contribs).belief
+        assert belief.breakpoints == bps
+        assert list(map(float.hex, belief.values)) == list(map(float.hex, want))
+
+
+def test_merge_two_term_utility_overflow_raises(table1):
+    # outcome c sums 0.9 and 0.8 of 1.5e308, past the largest float: fsum
+    # raises, and so does the short sum's fallback
+    profile, _, _ = table1
+    contribs = [(i, profile.agents[i], 1.0, 1.5e308) for i in profile.concerned]
+    with pytest.raises(OverflowError):
+        _merge(profile, contribs)
+
+
+# sha256 of repr(rule(p)) over p running through the first 40 anonymity
+# draws, every transposition of each and each one with a concerned agent
+# made indifferent (300 profiles): the bits every rule must keep through
+# the short column sums and the derived profiles
+RULE_PINS = {
+    "baru": "1f178ef8b5bceff590782c87e9749e146278178433de6951119c2153104eb9c0",
+    "swf1": "bfb306b3c5d7856a1a0691885e485b82c1903a9b886a318b1ea4968d2d777b36",
+    "swf2": "9408b6ca48c4cbae25e515f47874d1042f49fc6b3348fdd2d7a6427d71d471a2",
+    "swf3": "b10133e409051d473ecf4de5cfc19e8d7235b6162b3481755eecdbcb6e9c1d8c",
+    "swf4": "b4e1480aeb0c59d7b80377bd509c8500adb2d16c1a488e3621a54178a31b0b51",
+    "swf5": "1f178ef8b5bceff590782c87e9749e146278178433de6951119c2153104eb9c0",
+    "swf6": "5e39d535e626395db30555cf88c0520dc3708ccb13d704765da9d53478c271de",
+}
+
+
+def _pinned_profiles():
+    for t in range(40):
+        p = random_profile(random.Random(child_seed(20240801, "anonymity", t)))
+        yield p
+        n = len(p.agents)
+        for i, j in itertools.combinations(range(n), 2):
+            yield p.swapped(i, j)
+        for i in p.concerned:
+            yield p.replace(i, INDIFFERENT)
+
+
+def test_rule_outputs_pinned():
+    assert set(RULE_PINS) == set(RULE_NAMES)
+    profiles = list(_pinned_profiles())
+    assert len(profiles) == 300
+    for name in RULE_NAMES:
+        rule = rule_by_name(name)
+        h = hashlib.sha256()
+        for p in profiles:
+            h.update(repr(rule(p)).encode())
+        assert h.hexdigest() == RULE_PINS[name], name
 
 
 @pytest.mark.parametrize("name", RULE_NAMES)
