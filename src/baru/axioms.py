@@ -10,7 +10,7 @@ checkers live in `harness`.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import add, sub
 from typing import Callable, Sequence
@@ -21,6 +21,7 @@ from .measure import (
     Coarsening,
     Density,
     EventSet,
+    ImproperPushforward,
     TOL_EXACT,
     TOL_MEASURE,
     _values_along,
@@ -41,11 +42,10 @@ from .prefs import (
     _normalized_utility,
     compare,
     discount_to_belief,
-    expected_utility,
     preference_distance,
     pushforward,
 )
-from .swf import SwfResult, baru, geometric_pool
+from .swf import SwfResult
 
 Swf = Callable[[Profile], SwfResult]
 
@@ -151,27 +151,23 @@ def _fiber_residual(
     grid = merged_breakpoints(pushed)
     t1, t2 = segment_masses(p1, grid), segment_masses(p2, grid)
     pulled = []
-    for sa, sb, ta, tb, orient in q.pieces:
-        pulled.append(sa)
-        inner = grid[bisect_right(grid, ta) : bisect_left(grid, tb)]
-        if inner:
-            slope = (tb - ta) / (sb - sa)
-            pulled += [sa + (t - ta) / slope if orient > 0 else sb - (t - ta) / slope for t in inner]
+    for piece in q.maps:
+        pulled.append(piece.sa)
+        inner = grid[bisect_right(grid, piece.ta) : bisect_left(grid, piece.tb)]
+        pulled += map(piece.backward, inner)
     src = merged_breakpoints(beliefs, pulled)
     m1, m2 = segment_masses(d1, src), segment_masses(d2, src)
     e1, e2 = [0.0] * len(t1), [0.0] * len(t2)
     fiber = []  # the target cell of each source cell
-    pieces = iter(q.pieces)
+    pieces = iter(q.maps)
     sb = 0.0
     for a, b, x1, x2 in zip(src, src[1:], m1, m2):
         if a >= sb:  # every piece starts at a point of src
-            sa, sb, ta, tb, orient = next(pieces)
-            slope = (tb - ta) / (sb - sa)
-            lo, hi = bisect_left(grid, ta), bisect_left(grid, tb)
+            piece = next(pieces)
+            sb = piece.sb
+            lo, hi = bisect_left(grid, piece.ta), bisect_left(grid, piece.tb)
         # the piece's target cell that holds the image of the midpoint
-        mid = 0.5 * (a + b)
-        y = ta + (mid - sa) * slope if orient > 0 else ta + (sb - mid) * slope
-        k = bisect_right(grid, y, lo + 1, hi) - 1
+        k = bisect_right(grid, piece.forward(0.5 * (a + b)), lo + 1, hi) - 1
         fiber.append(k)
         e1[k] += x1
         e2[k] += x2
@@ -227,7 +223,7 @@ def certify_coredundancy(
     for i in ids:
         try:
             push.append((i, pushforward_coarsening(q, agents[i].belief)))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ImproperPushforward as exc:
             return Refused("improper-pushforward", f"agent {i}: {exc}")
     push = tuple(push)
     if len(ids) == 2:
@@ -557,62 +553,6 @@ def detect_spurious_unanimity(profile: Profile, f: Act, g: Act) -> SpuriousUnani
         tuple(diffs),
         None if belief is None else tuple(belief),
         belief is None,
-    )
-
-
-# ---------------------------------------------------------------------------
-# complementary ignorance (three-horse race)
-
-
-@dataclass(frozen=True)
-class ComplementaryIgnoranceReport:
-    profile: Profile = field(compare=False)
-    bet1: Act
-    bet2: Act
-    agent_evs: tuple[tuple[float, float], ...]
-    baru_verdict: str
-    pooled: Density = field(compare=False)
-    pooled_horse_probs: tuple[float, float, float]
-    pooled_verdict: str
-    pushforwards_match: bool
-
-
-def complementary_ignorance_demo() -> ComplementaryIgnoranceReport:
-    """Two agents each know a different horse will lose; averaging their
-    posteriors keeps both bets even, while the geometric pool concludes
-    horse 3 wins for sure and backs the second bet."""
-    space = OutcomeSpace(("win", "lose", "refund", "double"))
-    # Horses occupy [0, 0.25), [0.25, 0.5), [0.5, 1).
-    belief1 = Density((0.0, 0.25, 0.5, 1.0), (0.0, 2.0, 1.0))  # knows horse 1 lost
-    belief2 = Density((0.0, 0.25, 0.5, 1.0), (2.0, 0.0, 1.0))  # knows horse 2 lost
-    utility = Utility({"win": 1.0, "lose": 0.0, "refund": 0.4, "double": 0.7})
-    profile = Profile(
-        space,
-        (Preference(belief1, utility), Preference(belief2, utility), INDIFFERENT),
-    )
-    bet1 = Act.from_segments([(0.0, 0.5, "win"), (0.5, 1.0, "lose")])  # horses 1 or 2
-    bet2 = Act.from_segments([(0.0, 0.5, "lose"), (0.5, 1.0, "win")])  # horse 3
-    evs = tuple(
-        (
-            expected_utility(profile.agents[i], bet1),
-            expected_utility(profile.agents[i], bet2),
-        )
-        for i in profile.concerned
-    )
-    verdict = baru(profile).compare(bet1, bet2).verdict
-    pooled = geometric_pool([belief1, belief2])
-    probs = (pooled.mass(0.0, 0.25), pooled.mass(0.25, 0.5), pooled.mass(0.5, 1.0))
-    pooled_pref = Preference(pooled, utility)
-    pooled_verdict = compare(pooled_pref, bet1, bet2).verdict
-    match = all(
-        _lottery_gap(
-            pushforward(act, belief1, space), pushforward(act, belief2, space)
-        )
-        <= TOL_MEASURE
-        for act in (bet1, bet2)
-    )
-    return ComplementaryIgnoranceReport(
-        profile, bet1, bet2, evs, verdict, pooled, probs, pooled_verdict, match
     )
 
 

@@ -25,18 +25,22 @@ from .harness import (
     DecodeError,
     preference_as_dict,
     preference_from_dict,
-    profile_as_dict,
     profile_from_dict,
     run_axiom_battery,
     child_seed,
     violation_witness,
 )
-from .measure import Coarsening, Density, segment_masses
+from .measure import (
+    Coarsening,
+    Density,
+    ImproperPushforward,
+    pushforward_coarsening,
+    segment_masses,
+)
 from .prefs import Act, OutcomeSpace, Preference, Profile, preference_distance
 from .swf import (
     RULE_NAMES,
     WeightedAggregation,
-    default_anchor,
     rule_by_name,
     swf2,
     swf3,
@@ -139,32 +143,19 @@ def _parse_params_pref(params: Mapping, key: str, path_hint: str) -> Preference 
     return pref
 
 
-def _per_profile_anchor(custom: Preference | None) -> Callable[[Profile], Preference]:
-    """Custom anchors apply only on their own outcome space; random
-    battery profiles range over other spaces and get the canonical one."""
-
-    def pick(pr: Profile) -> Preference:
-        if custom is not None and set(custom.utility.labels) == set(pr.space.labels):
-            return custom
-        return default_anchor(pr.space)
-
-    return pick
-
-
 def build_rule(name: str, params: Mapping, path_hint: str) -> Swf:
     """Rule callable from a name plus the profile file's params section."""
-    if name == "swf2":
-        anchor = _per_profile_anchor(_parse_params_pref(params, "anchor", path_hint))
-        return lambda pr: swf2(pr, anchor(pr))
-    if name == "swf3":
-        phantom = _per_profile_anchor(_parse_params_pref(params, "phantom", path_hint))
-        return lambda pr: swf3(pr, phantom(pr))
-    if name == "swf5":
-        seq = params.get("alpha")
-        if seq is None:
-            return rule_by_name("swf5")
+    if name in ("swf2", "swf3"):
+        key, rule = ("anchor", swf2) if name == "swf2" else ("phantom", swf3)
+        custom = _parse_params_pref(params, key, path_hint)
+        if custom is not None:
+            # a custom anchor applies only on its own outcome space; random
+            # battery profiles range over other spaces and get the named rule
+            labels, named = set(custom.utility.labels), rule_by_name(name)
+            return lambda pr: rule(pr, custom) if set(pr.space.labels) == labels else named(pr)
+    if name == "swf5" and params.get("alpha") is not None:
         with _decoding("params.alpha must be positive finite numbers", file=path_hint):
-            alphas = tuple(map(float, seq))
+            alphas = tuple(map(float, params["alpha"]))
         # json reads NaN and Infinity, which no comparison with 0.0 rejects
         if not alphas or not all(0.0 < a < inf for a in alphas):
             raise _fail("params.alpha must be positive finite numbers", file=path_hint)
@@ -312,7 +303,7 @@ def cmd_aggregate(args) -> int:
     if args.acts:
         acts = load_acts(args.acts, profile.space)
     else:
-        acts = {lab: Act.from_segments(((0.0, 1.0, lab),)) for lab in profile.space.labels}
+        acts = {lab: Act.constant(lab) for lab in profile.space.labels}
     report: dict = {"version": __version__, "rule": args.swf, "concerned": list(result.concerned)}
     if result.preference.is_indifferent:
         report["society"] = "complete indifference"
@@ -382,48 +373,16 @@ def _profile_first_check(rule: Swf, axiom: str, profile: Profile | None) -> Axio
 
 
 def cmd_scenario(args) -> int:
-    if args.name == "table1":
-        sc = scenarios.table1()
-        report = {"version": __version__, "scenario": "table1", **sc.as_dict()}
-        report["profile"] = profile_as_dict(sc.profile)
-        report["acts"] = {"f": sc.f.as_dict(), "g": sc.g.as_dict()}
-        print(json.dumps(report, indent=2))
-        return 0
-    if args.name == "horses":
-        rep = scenarios.horses()
-        report = {
-            "version": __version__,
-            "scenario": "horses",
-            "agent_evs": [list(r) for r in rep.agent_evs],
-            "averaging_verdict": rep.baru_verdict,
-            "pooled_horse_probs": list(rep.pooled_horse_probs),
-            "pooled_verdict": rep.pooled_verdict,
-            "pushforwards_match": rep.pushforwards_match,
-            "bets": {"bet1": rep.bet1.as_dict(), "bet2": rep.bet2.as_dict()},
-        }
-        print(json.dumps(report, indent=2))
-        return 0
-    sc = scenarios.fig1()
-    full = image_polytope(sc.profile)
-    restricted = image_polytope(sc.profile, (sc.coarsening, sc.outcomes))
-    svg_path = args.svg or "fig1.svg"
-    csv_path = args.csv or "fig1.csv"
-    _write(svg_path, render_svg(full.vertices or (), restricted.vertices or ()))
-    _write(csv_path, polytope_csv(full, restricted))
-    report = {
-        "version": __version__,
-        "scenario": "fig1",
-        **sc.as_dict(),
-        "vertices": [list(v) for v in (full.vertices or ())],
-        "restricted_vertices": [list(v) for v in (restricted.vertices or ())],
-        "svg": svg_path,
-        "csv": csv_path,
-    }
+    sc = scenarios.SCENARIOS[args.name]()
+    report = {"version": __version__, "scenario": args.name, **sc.as_dict()}
+    if args.name == "fig1":
+        paths = {"svg": args.svg or "fig1.svg", "csv": args.csv or "fig1.csv"}
+        report.update(_figures(sc.profile, (sc.coarsening, sc.outcomes), paths))
     print(json.dumps(report, indent=2))
     return 0
 
 
-def _parse_restrict(spec: str, space: OutcomeSpace) -> tuple[Coarsening | None, tuple[str, ...] | None]:
+def _parse_restrict(spec: str, profile: Profile) -> tuple[Coarsening, tuple[str, ...] | None]:
     head, _, rest = spec.partition(",")
     if head:
         data = _load_json(head)
@@ -431,48 +390,64 @@ def _parse_restrict(spec: str, space: OutcomeSpace) -> tuple[Coarsening | None, 
             raise _fail("coarsening file needs a 'pieces' list", file=head)
         with _decoding("invalid coarsening", file=head):
             q = Coarsening.from_dict(data)
+        for i in profile.concerned:
+            try:
+                pushforward_coarsening(q, profile.agents[i].belief)
+            except ImproperPushforward as exc:
+                detail = {"file": head, "agent": i, "detail": str(exc)}
+                raise _fail("coarsening has no proper pushforward", **detail)
     else:
         q = Coarsening.identity()
     labels: tuple[str, ...] | None = None
     if rest:
         labels = tuple(x.strip() for x in rest.split(",") if x.strip())
         for lab in labels:
-            if lab not in space:
+            if lab not in profile.space:
                 raise _fail("restriction uses unknown outcome", outcome=lab)
     return q, labels
+
+
+def _figures(profile: Profile, restriction: tuple | None, paths: Mapping[str, str | None]) -> dict:
+    """The vertices of the profile's image and, unless `restriction` (a
+    coarsening and outcome labels, as `image_polytope` takes it) is None,
+    of its restriction; then the SVG and CSV figures of both, each
+    written to its path in `paths` (in that order, a None path skipped)
+    and reported under its key.  An SVG is refused above two agents before
+    any file is written."""
+    full = image_polytope(profile)
+    restricted = None if restriction is None else image_polytope(profile, restriction)
+    if paths.get("svg") and full.dimension > 2:
+        raise _fail("SVG rendering needs a 1- or 2-agent image", dimension=full.dimension)
+
+    def listed(poly: ImagePolytope) -> list | None:
+        return None if poly.vertices is None else [list(v) for v in poly.vertices]
+
+    report = {"vertices": listed(full)}
+    if restricted is not None:
+        report["restricted_vertices"] = listed(restricted)
+    over = None if restricted is None else restricted.vertices or ()
+    figures = {
+        "svg": lambda: render_svg(full.vertices or (), over),
+        "csv": lambda: polytope_csv(full, restricted),
+    }
+    for kind, path in paths.items():
+        if path:
+            _write(path, figures[kind]())
+            report[kind] = path
+    return report
 
 
 def cmd_image(args) -> int:
     profile, _ = load_profile(args.profile)
     if not profile.concerned:
         raise _fail("image needs at least one concerned agent", file=args.profile)
-    full = image_polytope(profile)
-    restricted = None
-    if args.restrict:
-        q, labels = _parse_restrict(args.restrict, profile.space)
-        restricted = image_polytope(profile, (q, labels))
-    # refused before any file is written
-    if args.svg and full.dimension > 2:
-        raise _fail("SVG rendering needs a 1- or 2-agent image", dimension=full.dimension)
+    restriction = _parse_restrict(args.restrict, profile) if args.restrict else None
     report: dict = {
         "version": __version__,
-        "agents": list(full.agent_ids),
-        "dimension": full.dimension,
-        "vertices": None if full.vertices is None else [list(v) for v in full.vertices],
+        "agents": list(profile.concerned),
+        "dimension": len(profile.concerned),
     }
-    if restricted is not None:
-        report["restricted_vertices"] = (
-            None if restricted.vertices is None else [list(v) for v in restricted.vertices]
-        )
-    if args.csv:
-        _write(args.csv, polytope_csv(full, restricted))
-        report["csv"] = args.csv
-    if args.svg:
-        _write(
-            args.svg,
-            render_svg(full.vertices or (), None if restricted is None else restricted.vertices or ()),
-        )
-        report["svg"] = args.svg
+    report.update(_figures(profile, restriction, {"csv": args.csv, "svg": args.svg}))
     print(json.dumps(report, indent=2))
     return 0
 
@@ -534,7 +509,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.set_defaults(func=cmd_axiom_report)
 
     p_sc = sub.add_parser("scenario", help="reproduce a worked scenario")
-    p_sc.add_argument("name", choices=("table1", "horses", "fig1"))
+    p_sc.add_argument("name", choices=tuple(scenarios.SCENARIOS))
     p_sc.add_argument("--svg", help="fig1: SVG output path (default fig1.svg)")
     p_sc.add_argument("--csv", help="fig1: CSV output path (default fig1.csv)")
     p_sc.set_defaults(func=cmd_scenario)

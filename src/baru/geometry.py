@@ -18,7 +18,7 @@ falls short of the full one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import atan2, hypot, inf, pi, sqrt
 from typing import Sequence
 
@@ -70,20 +70,27 @@ def _build_direction_set(dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProfileGeometry:
-    """Per-segment contribution tensor of a profile (or a restriction of
-    one): tensor[s, x, i] = masses[i, s] * utils[i, x], the belief mass of
-    segment s times the utility of outcome x, for concerned agent i."""
+    """A profile's concerned agents (or a restriction of them) on their
+    common grid, as Python-float rows: masses[i][s], the belief mass of
+    segment s, and utils[i][x], the utility of outcome x, for concerned
+    agent i.  `tensor` holds their products for the sampled kernels."""
 
     agent_ids: tuple[int, ...]
     labels: tuple[str, ...]
     breakpoints: tuple[float, ...]
-    masses: np.ndarray = field(compare=False)  # (n, S)
-    utils: np.ndarray = field(compare=False)  # (n, X)
-    tensor: np.ndarray = field(compare=False)  # (S, X, n)
+    masses: tuple[Sequence[float], ...] = field(compare=False)  # n rows of S
+    utils: tuple[Sequence[float], ...] = field(compare=False)  # n rows of X
 
     @property
     def dimension(self) -> int:
         return len(self.agent_ids)
+
+    @cached_property
+    def tensor(self) -> np.ndarray:
+        """tensor[s, x, i] = masses[i][s] * utils[i][x], built on first use
+        by `support_values`, `attained_points` and `attaining_act`."""
+        masses, utils = np.array(self.masses), np.array(self.utils)  # (n, S), (n, X)
+        return masses.T[:, None, :] * utils.T[None, :, :]  # (S, X, n)
 
 
 def geometry_for(
@@ -92,22 +99,25 @@ def geometry_for(
     labels: Sequence[str] | None = None,
 ) -> ProfileGeometry:
     """Geometry of the concerned agents' image, optionally restricted to
-    acts that factor through `coarsening` into the `labels` subset."""
+    acts that factor through `coarsening` into the `labels` subset.  The
+    grid is the sorted set of the beliefs' breakpoints, so no row's bits
+    depend on the agents' order."""
     ids = profile.concerned
     if not ids:
         raise ValueError("image geometry needs at least one concerned agent")
-    labs = tuple(labels) if labels is not None else profile.space.labels
-    for lab in labs:
-        if lab not in profile.space:
-            raise ValueError(f"unknown outcome {lab!r}")
+    labs = profile.space.labels
+    if labels is not None:
+        labs = tuple(labels)
+        for lab in labs:
+            if lab not in profile.space:
+                raise ValueError(f"unknown outcome {lab!r}")
     beliefs = [profile.agents[i].belief for i in ids]
     if coarsening:
         beliefs = [pushforward_coarsening(coarsening, d) for d in beliefs]
     bps = merged_breakpoints(beliefs)
-    masses = np.array([segment_masses(d, bps) for d in beliefs])  # (n, S)
-    utils = np.array([profile.agents[i].utility.values_of(labs) for i in ids])  # (n, X)
-    tensor = masses.T[:, None, :] * utils.T[None, :, :]  # (S, X, n)
-    return ProfileGeometry(ids, labs, bps, masses, utils, tensor)
+    masses = tuple(segment_masses(d, bps) for d in beliefs)
+    utils = tuple(profile.agents[i].utility.values_of(labs) for i in ids)
+    return ProfileGeometry(ids, labs, bps, masses, utils)
 
 
 def support_values(geom: ProfileGeometry, directions: np.ndarray) -> np.ndarray:
@@ -242,8 +252,7 @@ def minkowski_polygon(geom: ProfileGeometry) -> tuple[tuple[float, float], ...]:
         raise ValueError("exact polygon only at dimension 2")
     sx = sy = 0.0
     edges: list[tuple[float, float]] = []
-    masses = geom.masses.tolist()
-    for m1, m2, (verts, _) in zip(*masses, segment_hulls(masses, geom.utils.tolist())):
+    for m1, m2, (verts, _) in zip(*geom.masses, segment_hulls(geom.masses, geom.utils)):
         cell = [(m1 * a, m2 * b) for a, b in verts]
         ax, ay = min(cell, key=lambda p: (p[1], p[0]))
         sx += ax

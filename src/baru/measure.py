@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import fsum, inf
 from operator import mul, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import lp
 
@@ -35,6 +36,12 @@ class Infeasible(Exception):
     """Raised when a requested vector of event probabilities is not
     attainable by any event, or when an internal feasibility solve that
     must succeed does not (a bug guard for the always-feasible cases)."""
+
+
+class ImproperPushforward(ValueError):
+    """A density pushed through a coarsening is no proper density in
+    floats, as when a density value divided by a piece's tiny slope
+    overflows to infinity."""
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +134,6 @@ class EventSet:
         True on the intervals and False between them."""
         edges = (0.0, *(x for ab in self.intervals for x in ab), 1.0)
         return _values_along(edges, (False, True) * len(self.intervals) + (False,), points)
-
-    def as_dict(self) -> dict:
-        return {"intervals": [[a, b] for a, b in self.intervals]}
-
-    @staticmethod
-    def from_dict(data: dict) -> "EventSet":
-        return EventSet.from_intervals(tuple((a, b) for a, b in data["intervals"]))
 
 
 EventSet.FULL = EventSet(((0.0, 1.0),))
@@ -415,6 +415,32 @@ def halving_subalgebra(d1: Density, d2: Density, depth: int) -> DyadicPartition:
 _IDENTITY_PIECES = ((0.0, 1.0, 0.0, 1.0, +1),)
 
 
+class AffinePiece(NamedTuple):
+    """One piece of a coarsening as the affine map of its source interval
+    [sa, sb) onto its target interval [ta, tb), forwards (orient=+1) or
+    reversed (orient=-1), with its slope: the target's length over the
+    source's."""
+
+    sa: float
+    sb: float
+    ta: float
+    tb: float
+    orient: int
+    slope: float
+
+    def forward(self, x: float) -> float:
+        """The target point of the source point x."""
+        if self.orient > 0:
+            return self.ta + (x - self.sa) * self.slope
+        return self.ta + (self.sb - x) * self.slope
+
+    def backward(self, y: float) -> float:
+        """The source point that the piece maps to the target point y."""
+        if self.orient > 0:
+            return self.sa + (y - self.ta) / self.slope
+        return self.sb - (y - self.ta) / self.slope
+
+
 @dataclass(frozen=True)
 class Coarsening:
     """Piecewise-affine surjection q of [0, 1) onto [0, 1).
@@ -453,6 +479,14 @@ class Coarsening:
     def identity() -> "Coarsening":
         return Coarsening(_IDENTITY_PIECES)
 
+    @cached_property
+    def maps(self) -> tuple[AffinePiece, ...]:
+        """The pieces as affine maps, in order."""
+        return tuple(
+            AffinePiece(sa, sb, ta, tb, orient, (tb - ta) / (sb - sa))
+            for sa, sb, ta, tb, orient in self.pieces
+        )
+
     def as_dict(self) -> dict:
         return {"pieces": [list(p) for p in self.pieces]}
 
@@ -488,32 +522,27 @@ def pushforward_coarsening(q: Coarsening, density: Density) -> Density:
     under the identity coarsening, and of rounding size where fibers carry
     proportional masses.  One pass over the pieces finds each grid
     cell's source value by bisection on the density's breakpoints, and the
-    values add up piece by piece in the pieces' order.
+    values add up piece by piece in the pieces' order.  A piece too flat
+    for floats leaves no proper density and raises `ImproperPushforward`.
     """
     if q.pieces == _IDENTITY_PIECES:
         return density
     dbp, dvals = density.breakpoints, density.values
     last = len(dvals) - 1
     pts = {0.0, 1.0}
-    for sa, sb, ta, tb, orient in q.pieces:
-        pts.add(ta)
-        pts.add(tb)
-        slope = (tb - ta) / (sb - sa)
-        for u in dbp[bisect_right(dbp, sa) : bisect_left(dbp, sb)]:
-            if orient > 0:
-                pts.add(ta + (u - sa) * slope)
-            else:
-                pts.add(ta + (sb - u) * slope)
+    for piece in q.maps:
+        inner = dbp[bisect_right(dbp, piece.sa) : bisect_left(dbp, piece.sb)]
+        pts.update((piece.ta, piece.tb, *map(piece.forward, inner)))
     bps = tuple(sorted(pts))
     mids = [0.5 * (a + b) for a, b in zip(bps[:-1], bps[1:])]
     values = [0.0] * len(mids)
-    for sa, sb, ta, tb, orient in q.pieces:
-        # the cells whose midpoint the piece covers, each valued at its
-        # midpoint's source point, as `Density.value_at` would
-        lo, hi = bisect_left(mids, ta), bisect_left(mids, tb)
-        slope = (tb - ta) / (sb - sa)
-        for k in range(lo, hi):
-            src = sa + (mids[k] - ta) / slope if orient > 0 else sb - (mids[k] - ta) / slope
-            j = bisect_right(dbp, src) - 1
-            values[k] += dvals[0 if j < 0 else last if j > last else j] / slope
-    return Density(bps, tuple(values))
+    try:
+        for piece in q.maps:
+            # the cells whose midpoint the piece covers, each valued at its
+            # midpoint's source point, as `Density.value_at` would
+            for k in range(bisect_left(mids, piece.ta), bisect_left(mids, piece.tb)):
+                j = bisect_right(dbp, piece.backward(mids[k])) - 1
+                values[k] += dvals[0 if j < 0 else last if j > last else j] / piece.slope
+        return Density(bps, tuple(values))
+    except ValueError as exc:
+        raise ImproperPushforward(str(exc)) from None

@@ -17,14 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .axioms import (
-    ComplementaryIgnoranceReport,
+    _lottery_gap,
     check_independence_redundant_acts,
     common_belief_feasible,
-    complementary_ignorance_demo,
     detect_spurious_unanimity,
     SpuriousUnanimityReport,
 )
-from .measure import Coarsening, Density, EventSet
+from .harness import profile_as_dict
+from .measure import Coarsening, Density, EventSet, TOL_MEASURE
 from .prefs import (
     Act,
     INDIFFERENT,
@@ -32,9 +32,11 @@ from .prefs import (
     Preference,
     Profile,
     Utility,
+    compare,
     expected_utility,
+    pushforward,
 )
-from .swf import SwfResult, baru, ex_ante_scores, swf2
+from .swf import SwfResult, baru, ex_ante_scores, geometric_pool, swf2
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,8 @@ class Table1Scenario:
             "ex_ante": list(self.ex_ante),
             "spurious": self.spurious.as_dict(),
             "common_belief_window": list(self.common_belief_window),
+            "profile": profile_as_dict(self.profile),
+            "acts": {"f": self.f.as_dict(), "g": self.g.as_dict()},
         }
 
 
@@ -114,8 +118,66 @@ def table1() -> Table1Scenario:
     )
 
 
+@dataclass(frozen=True)
+class ComplementaryIgnoranceReport:
+    profile: Profile = field(compare=False)
+    bet1: Act
+    bet2: Act
+    agent_evs: tuple[tuple[float, float], ...]
+    baru_verdict: str
+    pooled: Density = field(compare=False)
+    pooled_horse_probs: tuple[float, float, float]
+    pooled_verdict: str
+    pushforwards_match: bool
+
+    def as_dict(self) -> dict:
+        return {
+            "agent_evs": [list(r) for r in self.agent_evs],
+            "averaging_verdict": self.baru_verdict,
+            "pooled_horse_probs": list(self.pooled_horse_probs),
+            "pooled_verdict": self.pooled_verdict,
+            "pushforwards_match": self.pushforwards_match,
+            "bets": {"bet1": self.bet1.as_dict(), "bet2": self.bet2.as_dict()},
+        }
+
+
 def horses() -> ComplementaryIgnoranceReport:
-    return complementary_ignorance_demo()
+    """Two agents each know a different horse will lose; averaging their
+    posteriors keeps both bets even, while the geometric pool concludes
+    horse 3 wins for sure and backs the second bet."""
+    space = OutcomeSpace(("win", "lose", "refund", "double"))
+    # Horses occupy [0, 0.25), [0.25, 0.5), [0.5, 1).
+    belief1 = Density((0.0, 0.25, 0.5, 1.0), (0.0, 2.0, 1.0))  # knows horse 1 lost
+    belief2 = Density((0.0, 0.25, 0.5, 1.0), (2.0, 0.0, 1.0))  # knows horse 2 lost
+    utility = Utility({"win": 1.0, "lose": 0.0, "refund": 0.4, "double": 0.7})
+    profile = Profile(
+        space,
+        (Preference(belief1, utility), Preference(belief2, utility), INDIFFERENT),
+    )
+    bet1 = Act.from_segments([(0.0, 0.5, "win"), (0.5, 1.0, "lose")])  # horses 1 or 2
+    bet2 = Act.from_segments([(0.0, 0.5, "lose"), (0.5, 1.0, "win")])  # horse 3
+    evs = tuple(
+        (
+            expected_utility(profile.agents[i], bet1),
+            expected_utility(profile.agents[i], bet2),
+        )
+        for i in profile.concerned
+    )
+    verdict = baru(profile).compare(bet1, bet2).verdict
+    pooled = geometric_pool([belief1, belief2])
+    probs = (pooled.mass(0.0, 0.25), pooled.mass(0.25, 0.5), pooled.mass(0.5, 1.0))
+    pooled_pref = Preference(pooled, utility)
+    pooled_verdict = compare(pooled_pref, bet1, bet2).verdict
+    match = all(
+        _lottery_gap(
+            pushforward(act, belief1, space), pushforward(act, belief2, space)
+        )
+        <= TOL_MEASURE
+        for act in (bet1, bet2)
+    )
+    return ComplementaryIgnoranceReport(
+        profile, bet1, bet2, evs, verdict, pooled, probs, pooled_verdict, match
+    )
 
 
 @dataclass(frozen=True)
@@ -170,3 +232,7 @@ def fig1() -> Fig1Scenario:
     return Fig1Scenario(
         p, p2, anchor, q, outcomes, anchored.as_dict(), equal.as_dict()
     )
+
+
+# The worked scenarios by the name the command line gives them.
+SCENARIOS = {"table1": table1, "horses": horses, "fig1": fig1}

@@ -14,7 +14,7 @@ from math import atan2, fsum, inf, isfinite, sqrt
 from operator import add, mul, sub
 from typing import Callable, Sequence
 
-from .geometry import segment_hulls
+from .geometry import geometry_for, segment_hulls
 from .measure import (
     Density,
     TOL_EXACT,
@@ -23,7 +23,6 @@ from .measure import (
     cell_values,
     interval_masses,
     merged_breakpoints,
-    segment_masses,
 )
 from .prefs import (
     Act,
@@ -253,22 +252,20 @@ def _canonical_order(profile: Profile) -> list[int]:
 def _nash_point(profile: Profile) -> list[float]:
     """The bargaining point of the concerned agents' image, one coordinate
     per concerned agent; `swf1` asks only with two or more.  The solvers
-    read the agents' segment masses on their merged grid and their
+    read `geometry_for`'s rows, segment masses on the merged grid and
     utilities in label order, in canonical order, on Python floats.  Two
     agents take the Pareto walk; three or more take Frank-Wolfe on the
-    products masses[i][s] * utils[i][x], the bits of `geometry_for`'s
+    products masses[i][s] * utils[i][x], the bits of the geometry's
     tensor, one row per agent and segment after segment."""
     perm = _canonical_order(profile)
-    agents = [profile.agents[profile.concerned[k]] for k in perm]
-    bps = merged_breakpoints([p.belief for p in agents])
-    labs = profile.space.labels
-    masses = [segment_masses(p.belief, bps) for p in agents]
-    utils = [p.utility.values_of(labs) for p in agents]
+    geom = geometry_for(profile)
+    masses = [geom.masses[k] for k in perm]
+    utils = [geom.utils[k] for k in perm]
     if len(perm) == 2:
         x_canon = _pareto_walk(masses, utils)
     else:
         rows = [[m * u for m in ms for u in us] for ms, us in zip(masses, utils)]
-        x_canon = _nash_frank_wolfe(rows, len(labs))
+        x_canon = _nash_frank_wolfe(rows, len(geom.labels))
     return [x for _, x in sorted(zip(perm, x_canon))]
 
 
@@ -599,8 +596,6 @@ def geometric_pool(densities: Sequence[Density]) -> Density:
 # ---------------------------------------------------------------------------
 # registry
 
-RULE_NAMES = ("baru", "swf1", "swf2", "swf3", "swf4", "swf5", "swf6")
-
 
 def ramp_utility(space) -> Utility:
     """Evenly spaced utility over the space's labels in listed order."""
@@ -615,21 +610,23 @@ def default_anchor(space) -> Preference:
     return Preference(Density.uniform(), ramp_utility(space))
 
 
+# Every named rule as a profile -> result callable.  swf2 and swf3 use the
+# canonical anchor/phantom of the profile's own outcome space.
+_RULES: dict[str, Callable[[Profile], SwfResult]] = {
+    "baru": baru,
+    "swf1": swf1,
+    "swf2": lambda pr: swf2(pr, default_anchor(pr.space)),
+    "swf3": lambda pr: swf3(pr, default_anchor(pr.space)),
+    "swf4": swf4,
+    "swf5": swf5,
+    "swf6": swf6,
+}
+RULE_NAMES = tuple(_RULES)
+
+
 def rule_by_name(name: str) -> Callable[[Profile], SwfResult]:
-    """Look up a rule as a profile -> result callable.  swf2 and swf3 use
-    the canonical anchor/phantom of the profile's own outcome space."""
-    if name == "baru":
-        return baru
-    if name == "swf1":
-        return swf1
-    if name == "swf2":
-        return lambda pr: swf2(pr, default_anchor(pr.space))
-    if name == "swf3":
-        return lambda pr: swf3(pr, default_anchor(pr.space))
-    if name == "swf4":
-        return swf4
-    if name == "swf5":
-        return swf5
-    if name == "swf6":
-        return swf6
-    raise ValueError(f"unknown rule {name!r}")
+    """Look up a named rule."""
+    try:
+        return _RULES[name]
+    except KeyError:
+        raise ValueError(f"unknown rule {name!r}") from None

@@ -1,6 +1,7 @@
 """Single-scenario axiom checkers, co-redundancy certification, spurious
 unanimity, the three-horse demonstration, and the continuity probe."""
 
+import hashlib
 import math
 import random
 
@@ -607,6 +608,63 @@ def test_certify_fiber_bound_decision_matches_kink_path():
             else:
                 tally["polygon-certified"] += 1
     assert min(tally.values()) >= 20, tally
+
+
+def test_ira_restriction_indifferent_at_one_profile(table1):
+    # the two profiles are equal, so co-redundant on the identity; a rule
+    # completely indifferent at just one of them violates the axiom
+    profile, _, _ = table1
+    twin = Profile(profile.space, profile.agents)
+    q, outs = Coarsening.identity(), profile.space.labels
+
+    def blind(pr):
+        return baru(Profile(pr.space, (INDIFFERENT,) * len(pr.agents)))
+
+    def blind_at_profile(pr):
+        return blind(pr) if pr is profile else baru(pr)
+
+    v = check_independence_redundant_acts(blind_at_profile, profile, twin, q, outs)
+    assert not v.satisfied and v.witness == {"restriction_indifferent": ["p"]}
+    v = check_independence_redundant_acts(blind_at_profile, twin, profile, q, outs)
+    assert not v.satisfied and v.witness == {"restriction_indifferent": ["p'"]}
+    v = check_independence_redundant_acts(blind, profile, twin, q, outs)
+    assert v.satisfied and v.witness is None
+
+
+def test_coarsening_piece_maps_bits_pinned():
+    # sha256 of every pushforward's grid and values and of the fiber
+    # residual, over the IRA battery's merge-pairs scenarios (tilted second
+    # profiles included) and random coarsenings with reversed pieces
+    rng = random.Random(212121)
+    digest = hashlib.sha256()
+    seen = dict.fromkeys(("merge", "reversed", "proportional", "random"), 0)
+    draws = 0
+    while draws < 2000:
+        if draws % 4 == 0:
+            try:
+                p, p2, q, _ = ira_scenario(rng, "merge")
+            except ScenarioRejected:
+                continue
+            prof = p if draws % 8 == 0 else p2
+            beliefs = [prof.agents[i].belief for i in prof.concerned]
+            seen["merge"] += 1
+        else:
+            q = _fibered_coarsening(rng)
+            if draws % 4 == 1:
+                weights = [rng.uniform(0.2, 2.0) for _ in q.pieces]
+                beliefs = [_pulled_back(q, _random_target(rng), weights) for _ in range(2)]
+                seen["proportional"] += 1
+            else:
+                beliefs = [_random_target(rng) for _ in range(2)]
+                seen["random"] += 1
+            seen["reversed"] += any(piece[4] < 0 for piece in q.pieces)
+        draws += 1
+        pushed = [pushforward_coarsening(q, d) for d in beliefs]
+        for d in pushed:
+            digest.update(repr((d.breakpoints, d.values)).encode())
+        digest.update(repr(_fiber_residual(q, beliefs, pushed)).encode())
+    assert min(seen.values()) >= 400, seen
+    assert digest.hexdigest() == "fd716343d1189869aa57c92575311fd6bf1ab75eee4a3ed193a25748f24e2b3d"
 
 
 def test_fiber_residual_walk_is_zero_on_identity():

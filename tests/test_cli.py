@@ -13,7 +13,17 @@ import sys
 
 import pytest
 
-from baru import __version__, profile_as_dict, rerun_witness, rule_by_name
+from baru import (
+    __version__,
+    preference_as_dict,
+    preference_from_dict,
+    profile_as_dict,
+    rerun_witness,
+    rule_by_name,
+    swf2,
+    swf3,
+    swf5,
+)
 from baru.axioms import AxiomVerdict, ScenarioRejected
 from baru.cli import _profile_first_check, load_profile, main
 from baru.harness import AXIOM_SPECS, AxiomSpec
@@ -319,6 +329,20 @@ def test_image_restrict_coarsening_file(table1_file, tmp_path, capsys):
     _vertex_sets_close(report["restricted_vertices"], report["vertices"])
 
 
+def test_image_refuses_coarsening_without_proper_pushforward(table1_file, tmp_path, capsys):
+    # the second piece's slope is 2e-320: a belief pushed through it
+    # overflows to an infinite density, and no file is written
+    qfile = _write(tmp_path, "steep.json", {"pieces": [[0, 0.5, 0, 1, 1], [0.5, 1, 0, 1e-320, 1]]})
+    svg, csv = tmp_path / "s.svg", tmp_path / "s.csv"
+    rc = main(["image", table1_file, "--restrict", qfile + ",a,b", "--svg", str(svg), "--csv", str(csv)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    (line,) = captured.err.splitlines()
+    diag = json.loads(line)
+    assert diag["error"] == "coarsening has no proper pushforward" and diag["file"] == qfile
+    assert not svg.exists() and not csv.exists()
+
+
 def test_image_three_agents_csv_only(tmp_path, capsys):
     data = dict(TABLE1)
     data["agents"] = data["agents"][:2] + [
@@ -517,6 +541,19 @@ _MALFORMED = [
     ),
     pytest.param("aggregate", _with(params={"anchor": [1, 2]}), ["--swf", "swf2"], id="anchor-list"),
     pytest.param(
+        "aggregate",
+        _with(params={"anchor": {"belief": None, "utility": None}}),
+        ["--swf", "swf2"],
+        id="anchor-indifferent",
+    ),
+    pytest.param(
+        "aggregate",
+        # agents 0 and 2 share a preference, a group of two
+        _with(agents=[*TABLE1["agents"][:2], TABLE1["agents"][0]], params={"alpha": [1.5]}),
+        ["--swf", "swf5"],
+        id="alpha-shorter-than-group",
+    ),
+    pytest.param(
         "image", _with(agents=[{"belief": None, "utility": None}] * 3), [], id="image-no-concerned"
     ),
 ]
@@ -533,6 +570,44 @@ def test_malformed_input_exits_2_with_one_diagnostic(tmp_path, capsys, command, 
     lines = captured.err.splitlines()
     assert len(lines) == 1 and "Traceback" not in captured.err
     assert json.loads(lines[0])["file"] == path
+
+
+_CUSTOM = {
+    "belief": {"breakpoints": [0, 0.25, 1], "values": [2.2, 0.6]},
+    "utility": {"a": 0.3, "b": 1, "c": 0, "d": 0.6},
+}
+
+
+def _same_result(report, want):
+    """The aggregate report reads the rule's result, float for float."""
+    assert report["society"] == json.loads(json.dumps(preference_as_dict(want.preference)))
+    assert report["raw_utility"] == dict(want.raw_utility)
+    assert report["utility_weights"] == [[i, w] for i, w in want.utility_weights]
+
+
+@pytest.mark.parametrize("swf, key, rule", [("swf2", "anchor", swf2), ("swf3", "phantom", swf3)])
+def test_aggregate_custom_anchor_on_own_space(tmp_path, capsys, swf, key, rule):
+    path = _write(tmp_path, "custom.json", _with(params={key: _CUSTOM}))
+    rc = main(["aggregate", path, "--swf", swf])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    profile, _ = load_profile(path)
+    want = rule(profile, preference_from_dict(_CUSTOM))
+    _same_result(report, want)
+    assert want.raw_utility != rule_by_name(swf)(profile).raw_utility
+
+
+def test_aggregate_swf5_alpha(tmp_path, capsys):
+    # agents 0 and 2 share a preference: one group of two, one of one
+    first, second, _ = TABLE1["agents"]
+    path = _write(tmp_path, "twins.json", _with(agents=[first, second, first], params={"alpha": [1.5, 0.25]}))
+    rc = main(["aggregate", path, "--swf", "swf5"])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    profile, _ = load_profile(path)
+    want = swf5(profile, lambda m: (1.5, 0.25)[m - 1])
+    _same_result(report, want)
+    assert want.raw_utility != swf5(profile).raw_utility
 
 
 def test_grid_file_and_witness_form_decode_alike(table1_file, tmp_path):

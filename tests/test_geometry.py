@@ -32,7 +32,10 @@ from baru.geometry import (
     segment_hulls,
     support_values,
 )
+from baru import geometry as geometry_module
+from baru.axioms import Refused, certify_coredundancy
 from baru.harness import random_profile
+from baru.swf import swf1
 
 SPACE = OutcomeSpace(("a", "b", "c", "d"))
 
@@ -150,11 +153,9 @@ def _minkowski_polygon_reference(geom):
 
 
 def _two_agent_geometry(masses, utils):
-    masses, utils = np.array(masses), np.array(utils)
-    tensor = masses.T[:, None, :] * utils.T[None, :, :]
-    S, X = masses.shape[1], utils.shape[1]
+    S, X = len(masses[0]), len(utils[0])
     labels = tuple(f"o{x}" for x in range(X))
-    return ProfileGeometry((0, 1), labels, tuple(np.linspace(0.0, 1.0, S + 1)), masses, utils, tensor)
+    return ProfileGeometry((0, 1), labels, tuple(np.linspace(0.0, 1.0, S + 1)), tuple(masses), tuple(utils))
 
 
 def test_minkowski_polygon_matches_per_segment_hulls():
@@ -418,3 +419,26 @@ def test_attained_points_match_loop(table1, rng):
         geom = geometry_for(prof)
         dirs = direction_set(geom.dimension)
         assert np.array_equal(attained_points(geom, dirs), _attained_points_reference(geom, dirs))
+
+
+class _NoNumpy:
+    """Stands in for the numpy module: any attribute read fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy reached: np.{name}")
+
+
+def test_swf1_and_two_agent_certificates_build_no_numpy_array(monkeypatch, thin_gap):
+    # geometry_for's rows are Python floats; numpy builds only the sampled
+    # kernels' tensor, which neither swf1 nor the two-agent polygons read
+    monkeypatch.setattr(geometry_module, "np", _NoNumpy())
+    rng = random.Random(2121)
+    sizes = {2: 0, 3: 0}
+    for _ in range(120):
+        profile = random_profile(rng)
+        sizes[len(profile.concerned)] += 1
+        swf1(profile)
+    assert min(sizes.values()) >= 20, sizes
+    profile, _, _ = thin_gap
+    out = certify_coredundancy(profile, Coarsening.identity(), ("a", "b", "c"))
+    assert isinstance(out, Refused) and out.method == "exact" and out.directions > 0

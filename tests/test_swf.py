@@ -728,12 +728,17 @@ def test_swf1_permutation_exact_weights(rng):
 
 
 def _nash_point_geometry_route(profile):
-    """The two-agent point taken the way it was before: the Pareto walk on
-    `geometry_for`'s arrays; the reference for `_nash_point`."""
-    geom = geometry_for(profile)
+    """The two-agent point with the rows built apart from `geometry_for`,
+    as `_nash_point` built them before it read that geometry: the grid
+    merged and the rows built over the agents in canonical order, then the
+    Pareto walk; the reference for `_nash_point`."""
     perm = _canonical_order(profile)
+    agents = [profile.agents[profile.concerned[k]] for k in perm]
+    bps = merged_breakpoints([p.belief for p in agents])
+    masses = [segment_masses(p.belief, bps) for p in agents]
+    utils = [p.utility.values_of(profile.space.labels) for p in agents]
     out = np.empty(2)
-    out[perm] = _pareto_walk(geom.masses[perm].tolist(), geom.utils[perm].tolist())
+    out[perm] = _pareto_walk(masses, utils)
     return out
 
 
@@ -899,10 +904,9 @@ def test_pareto_walk_matches_polygon_route():
         if min(max(masses[0]), max(masses[1]), max(utils[0]), max(utils[1])) <= 0.0:
             continue  # the product is zero everywhere, as for no profile
         trials += 1
-        m, u = np.array(masses), np.array(utils)
         geom = ProfileGeometry(
             (0, 1), tuple(f"o{x}" for x in range(X)), tuple(np.linspace(0.0, 1.0, S + 1)),
-            m, u, m.T[:, None, :] * u.T[None, :, :],
+            tuple(masses), tuple(utils),
         )
         want = np.array(_max_product_polygon_reference(list(minkowski_polygon(geom))))
         got = np.array(_pareto_walk(masses, utils))
@@ -1012,8 +1016,8 @@ def test_geometric_pool_matches_own_rescaling(rng):
 def test_swf1_lone_agent_is_baru_without_geometry():
     from baru.harness import random_density, random_utility
 
-    # swf solves on Python floats alone: no numpy, no image geometry
-    assert not {"np", "numpy", "geometry_for"} & set(vars(swf_module))
+    # swf solves on Python floats alone: no numpy
+    assert not {"np", "numpy"} & set(vars(swf_module))
     rng = random.Random(4401)
     for _ in range(300):
         lone = Preference(random_density(rng), random_utility(rng, SPACE))
