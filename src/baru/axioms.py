@@ -27,14 +27,13 @@ from .measure import (
     _values_along,
     belief_distance,
     cell_values,
+    common_grid,
     merged_breakpoints,
     pushforward_coarsening,
-    segment_masses,
 )
 from .prefs import (
     Act,
     INDIFFERENT,
-    Lottery,
     OutcomeSpace,
     Preference,
     Profile,
@@ -73,10 +72,13 @@ class AxiomVerdict:
         }
 
 
-def _lottery_gap(p: Lottery, q: Lottery) -> float:
-    labs = sorted(set(p.labels) | set(q.labels))
-    pm, qm = p.as_mapping(), q.as_mapping()
-    return max(abs(pm.get(l, 0.0) - qm.get(l, 0.0)) for l in labs)
+def agreement_gap(act: Act, beliefs: Sequence[Density], space: OutcomeSpace) -> float:
+    """How far the beliefs are from agreeing on the act, the paper's "acts
+    about which beliefs agree": the largest gap in an outcome's probability
+    between the act's pushforward under the first belief and under each
+    other belief.  Every pushforward is taken; 0.0 for a single belief."""
+    first, *others = [pushforward(act, d, space).values_of(space.labels) for d in beliefs]
+    return max([abs(x - y) for other in others for x, y in zip(first, other)], default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -148,15 +150,13 @@ def _fiber_residual(
     (d1, d2), (p1, p2) = beliefs, pushed
     if p1 is d1 and p2 is d2:
         return 0.0
-    grid = merged_breakpoints(pushed)
-    t1, t2 = segment_masses(p1, grid), segment_masses(p2, grid)
+    grid, (t1, t2) = common_grid(pushed)
     pulled = []
     for piece in q.maps:
         pulled.append(piece.sa)
         inner = grid[bisect_right(grid, piece.ta) : bisect_left(grid, piece.tb)]
         pulled += map(piece.backward, inner)
-    src = merged_breakpoints(beliefs, pulled)
-    m1, m2 = segment_masses(d1, src), segment_masses(d2, src)
+    src, (m1, m2) = common_grid(beliefs, pulled)
     e1, e2 = [0.0] * len(t1), [0.0] * len(t2)
     fiber = []  # the target cell of each source cell
     pieces = iter(q.maps)
@@ -209,12 +209,7 @@ def certify_coredundancy(
     `geometry._hull2d`'s hull, which takes turns of sine at most 1e-14 as
     straight, so an outcome at such a turn does not stop the certificate
     though it may lie just outside."""
-    outs = tuple(outcomes)
-    if not outs:
-        raise ValueError("outcome subset must be non-empty")
-    for lab in outs:
-        if lab not in profile.space:
-            raise ValueError(f"unknown outcome {lab!r}")
+    outs = profile.space.subset(outcomes)
     ids = profile.concerned
     if not ids:
         raise ValueError("certification needs a concerned agent")
@@ -358,10 +353,7 @@ def check_restricted_monotonicity(
         soc_belief = before.preference.belief
         if newpref.belief is not soc_belief:
             for act in (f, g):
-                gap = _lottery_gap(
-                    pushforward(act, soc_belief, base.space),
-                    pushforward(act, newpref.belief, base.space),
-                )
+                gap = agreement_gap(act, (soc_belief, newpref.belief), base.space)
                 if gap > TOL_MEASURE:
                     raise ScenarioRejected(f"pushforward mismatch {gap:.3e}")
         if before.compare(f, g).verdict != "tie":
@@ -445,11 +437,10 @@ def check_restricted_pareto(swf: Swf, profile: Profile, f: Act, g: Act) -> Axiom
     ids = profile.concerned
     if not ids:
         raise ScenarioRejected("no concerned agents")
+    beliefs = [profile.agents[i].belief for i in ids]
     for act in (f, g):
-        lotteries = [pushforward(act, profile.agents[i].belief, profile.space) for i in ids]
-        for other in lotteries[1:]:
-            if _lottery_gap(lotteries[0], other) > TOL_MEASURE:
-                raise ScenarioRejected("act pushforwards differ across agents")
+        if agreement_gap(act, beliefs, profile.space) > TOL_MEASURE:
+            raise ScenarioRejected("act pushforwards differ across agents")
     verdicts = [compare(profile.agents[i], f, g).verdict for i in ids]
     n_first = verdicts.count("first")
     n_second = verdicts.count("second")
@@ -534,23 +525,21 @@ class SpuriousUnanimityReport:
 def detect_spurious_unanimity(profile: Profile, f: Act, g: Act) -> SpuriousUnanimityReport:
     """Unanimity plus the non-existence of any single belief rationalizing
     it marks the agreement as spurious."""
-    ids = profile.concerned
-    diffs = [(i, compare(profile.agents[i], f, g).diff) for i in ids]
-    weak_f = all(d >= -TOL_EXACT for _, d in diffs)
-    weak_g = all(d <= TOL_EXACT for _, d in diffs)
-    if weak_f:
-        favored = "f"
-        strict = tuple(i for i, d in diffs if d > TOL_EXACT)
-    elif weak_g:
-        favored = "g"
-        strict = tuple(i for i, d in diffs if d < -TOL_EXACT)
+    comps = [(i, compare(profile.agents[i], f, g)) for i in profile.concerned]
+    diffs = tuple((i, c.diff) for i, c in comps)
+    verdicts = [c.verdict for _, c in comps]
+    if "second" not in verdicts:
+        favored, strict_verdict = "f", "first"
+    elif "first" not in verdicts:
+        favored, strict_verdict = "g", "second"
     else:
-        return SpuriousUnanimityReport(None, (), tuple(diffs), None, False)
+        return SpuriousUnanimityReport(None, (), diffs, None, False)
+    strict = tuple(i for i, c in comps if c.verdict == strict_verdict)
     belief = common_belief_feasible(profile, f, g, favor=favored)
     return SpuriousUnanimityReport(
         favored,
         strict,
-        tuple(diffs),
+        diffs,
         None if belief is None else tuple(belief),
         belief is None,
     )

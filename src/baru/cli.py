@@ -401,6 +401,8 @@ def _parse_restrict(spec: str, profile: Profile) -> tuple[Coarsening, tuple[str,
     labels: tuple[str, ...] | None = None
     if rest:
         labels = tuple(x.strip() for x in rest.split(",") if x.strip())
+        if not labels:
+            raise _fail("restriction needs at least one outcome", restrict=spec)
         for lab in labels:
             if lab not in profile.space:
                 raise _fail("restriction uses unknown outcome", outcome=lab)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .measure import Coarsening, pushforward_coarsening, merged_breakpoints, segment_masses, TOL_MEASURE
+from .measure import Coarsening, TOL_MEASURE, common_grid, pushforward_coarsening
 from .prefs import Act, Profile
 
 # Direction-set sizes for support-function work, by dimension.
@@ -99,23 +99,17 @@ def geometry_for(
     labels: Sequence[str] | None = None,
 ) -> ProfileGeometry:
     """Geometry of the concerned agents' image, optionally restricted to
-    acts that factor through `coarsening` into the `labels` subset.  The
-    grid is the sorted set of the beliefs' breakpoints, so no row's bits
-    depend on the agents' order."""
+    acts that factor through `coarsening` into the `labels` subset, which
+    `OutcomeSpace.subset` checks.  The grid is the sorted set of the
+    beliefs' breakpoints, so no row's bits depend on the agents' order."""
     ids = profile.concerned
     if not ids:
         raise ValueError("image geometry needs at least one concerned agent")
-    labs = profile.space.labels
-    if labels is not None:
-        labs = tuple(labels)
-        for lab in labs:
-            if lab not in profile.space:
-                raise ValueError(f"unknown outcome {lab!r}")
+    labs = profile.space.labels if labels is None else profile.space.subset(labels)
     beliefs = [profile.agents[i].belief for i in ids]
     if coarsening:
         beliefs = [pushforward_coarsening(coarsening, d) for d in beliefs]
-    bps = merged_breakpoints(beliefs)
-    masses = tuple(segment_masses(d, bps) for d in beliefs)
+    bps, masses = common_grid(beliefs)
     utils = tuple(profile.agents[i].utility.values_of(labs) for i in ids)
     return ProfileGeometry(ids, labs, bps, masses, utils)
 

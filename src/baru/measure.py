@@ -27,8 +27,9 @@ from . import lp
 TOL_MEASURE = 1e-9
 TOL_EXACT = 1e-12
 
-# Interval fractions below this are dropped when an event is assembled
-# from per-segment fractions; they carry no measurable mass at TOL_EXACT.
+# Interval fractions below this are dropped when an event or a lottery act
+# (`prefs.realize_lottery_act`) is assembled from per-segment fractions;
+# they carry no measurable mass at TOL_EXACT.
 _FRACTION_FLOOR = 1e-12
 
 
@@ -310,6 +311,15 @@ def segment_masses(density: Density, breakpoints: Sequence[float]) -> tuple[floa
     return tuple(list(map(mul, cell_values(density, breakpoints), widths)))
 
 
+def common_grid(
+    densities: Sequence[Density], extra: Iterable[float] = ()
+) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
+    """The densities' merged grid, with the `extra` points in [0, 1], and
+    each density's `segment_masses` on it, one row per density."""
+    bps = merged_breakpoints(densities, extra)
+    return bps, tuple([segment_masses(d, bps) for d in densities])
+
+
 # ---------------------------------------------------------------------------
 # Lyapunov-style splitting
 
@@ -351,14 +361,14 @@ def lyapunov_event(
             raise ValueError(f"target {t} outside [0, 1]")
 
     region = within if within is not None else EventSet.FULL
-    bps = merged_breakpoints(densities, (x for ab in region.intervals for x in ab))
+    bps, rows = common_grid(densities, (x for ab in region.intervals for x in ab))
     inside = [k for k, hit in enumerate(region.contains_along(bps[:-1])) if hit]
     if not inside:
         raise Infeasible("empty region")
     segments = [(bps[k], bps[k + 1]) for k in inside]
 
     # One fraction 0 <= lam_s <= 1 per segment; one row per density.
-    A = [[m[k] for k in inside] for m in (segment_masses(d, bps) for d in densities)]
+    A = [[m[k] for k in inside] for m in rows]
     x = lp.feasible_point(A, targets, upper=1.0)
     if x is None:
         raise Infeasible(f"no event attains probabilities {tuple(targets)}")

@@ -14,18 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import fsum, isfinite
 from operator import sub
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import lp
 from .measure import (
+    _FRACTION_FLOOR,
     TOL_EXACT,
     TOL_MEASURE,
     Density,
     Infeasible,
     cell_values,
+    common_grid,
     interval_masses,
-    merged_breakpoints,
-    segment_masses,
 )
 
 
@@ -62,6 +62,16 @@ class OutcomeSpace:
 
     def __contains__(self, label: str) -> bool:
         return label in self._index
+
+    def subset(self, labels: Iterable[str]) -> tuple[str, ...]:
+        """The labels as a tuple, refused with ValueError when empty or
+        when one is not an outcome of the space."""
+        labs = tuple(labels)
+        if not labs:
+            raise ValueError("outcome subset must be non-empty")
+        for lab in labs:
+            self.index(lab)
+        return labs
 
 
 class _LabelledVector:
@@ -342,13 +352,18 @@ class Profile:
 # evaluation
 
 
+def act_value(belief: Density, value: Callable[[str], float], act: Act) -> float:
+    """The act's expectation under the belief of an outcome's `value`:
+    the fsum over the act's segments of mass times value."""
+    masses = interval_masses(belief, act.segments)
+    return fsum(m * value(lab) for m, (_, _, lab) in zip(masses, act.segments))
+
+
 def expected_utility(pref: Preference, act: Act) -> float:
     """Expected utility of the act; complete indifference scores 0."""
     if pref.is_indifferent:
         return 0.0
-    util = pref.utility
-    masses = interval_masses(pref.belief, act.segments)
-    return fsum(m * util.value(lab) for m, (_, _, lab) in zip(masses, act.segments))
+    return act_value(pref.belief, pref.utility.value, act)
 
 
 def pushforward(act: Act, belief: Density, space: OutcomeSpace) -> Lottery:
@@ -401,8 +416,7 @@ def realize_lottery_act(
     if not beliefs:
         raise ValueError("need at least one belief")
     lott = lottery if isinstance(lottery, Lottery) else Lottery(lottery, space)
-    bps = merged_breakpoints(beliefs)
-    M = [segment_masses(d, bps) for d in beliefs]
+    bps, M = common_grid(beliefs)
     weighted = [(lab, p) for lab in space.labels if (p := lott.value(lab)) > 0.0]
     free = [1.0] * (len(bps) - 1)
     shares = []
@@ -418,7 +432,7 @@ def realize_lottery_act(
     for s, (a, bnd) in enumerate(zip(bps[:-1], bps[1:])):
         start = a
         for lab, lam in shares:
-            if lam[s] > 1e-12:
+            if lam[s] > _FRACTION_FLOOR:
                 end = start + lam[s] * (bnd - a)
                 pieces.append((start, end, lab))
                 start = end
@@ -529,13 +543,13 @@ def preference_distance(p: Preference, q: Preference) -> float:
     # labels are kept sorted, so equal label sets give equal tuples
     if p.utility.labels != q.utility.labels:
         raise ValueError("preferences range over different outcomes")
-    bps = merged_breakpoints((p.belief, q.belief))
+    _, masses = common_grid((p.belief, q.belief))
     up = [v for _, v in p.utility.items]
     uq = [v for _, v in q.utility.items]
     # per segment, the best act picks the outcome with the largest gap in
     # one direction (ahead) or the other (behind)
     ahead, behind = [], []
-    for mp, mq in zip(segment_masses(p.belief, bps), segment_masses(q.belief, bps)):
+    for mp, mq in zip(*masses):
         row = [mp * x - mq * y for x, y in zip(up, uq)]
         ahead.append(max(row))
         behind.append(-min(row))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .axioms import (
-    _lottery_gap,
+    agreement_gap,
     check_independence_redundant_acts,
     common_belief_feasible,
     detect_spurious_unanimity,
@@ -34,7 +34,6 @@ from .prefs import (
     Utility,
     compare,
     expected_utility,
-    pushforward,
 )
 from .swf import SwfResult, baru, ex_ante_scores, geometric_pool, swf2
 
@@ -169,11 +168,7 @@ def horses() -> ComplementaryIgnoranceReport:
     pooled_pref = Preference(pooled, utility)
     pooled_verdict = compare(pooled_pref, bet1, bet2).verdict
     match = all(
-        _lottery_gap(
-            pushforward(act, belief1, space), pushforward(act, belief2, space)
-        )
-        <= TOL_MEASURE
-        for act in (bet1, bet2)
+        agreement_gap(bet, (belief1, belief2), space) <= TOL_MEASURE for bet in (bet1, bet2)
     )
     return ComplementaryIgnoranceReport(
         profile, bet1, bet2, evs, verdict, pooled, probs, pooled_verdict, match

@@ -9,7 +9,7 @@ and the checkers in `axioms` are expected to catch exactly that trade.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import atan2, fsum, inf, isfinite, sqrt
 from operator import add, mul, sub
 from typing import Callable, Sequence
@@ -21,7 +21,6 @@ from .measure import (
     TOL_MEASURE,
     belief_distance,
     cell_values,
-    interval_masses,
     merged_breakpoints,
 )
 from .prefs import (
@@ -33,6 +32,7 @@ from .prefs import (
     Utility,
     ZeroFunction,
     _normalized_utility,
+    act_value,
     discount_to_belief,
     expected_utility,
     preference_distance,
@@ -74,9 +74,12 @@ class SwfResult:
         summed utility.  Zero when nobody is concerned."""
         if self.belief is None or self.raw_utility is None:
             return 0.0
-        raw = dict(self.raw_utility)
-        masses = interval_masses(self.belief, act.segments)
-        return fsum(m * raw[lab] for m, (_, _, lab) in zip(masses, act.segments))
+        return act_value(self.belief, self._raw.__getitem__, act)
+
+    @cached_property
+    def _raw(self) -> dict[str, float]:
+        """`raw_utility` as a mapping, built on the first `ev`."""
+        return dict(self.raw_utility)
 
     def compare(self, f: Act, g: Act) -> Comparison:
         return Comparison(self.ev(f) - self.ev(g))

@@ -42,6 +42,7 @@ from baru.axioms import (
     Refused,
     ScenarioRejected,
     _fiber_residual,
+    agreement_gap,
     certify_coredundancy,
 )
 from baru import axioms as axioms_module
@@ -220,8 +221,9 @@ def test_rm_rejects_society_strictness(table1):
     base = Profile(SPACE, (profile.agents[0], INDIFFERENT, profile.agents[1]))
     society = baru(base)
     newpref = Preference(society.preference.belief, profile.agents[0].utility)
-    # society strictly prefers g at base, so the scenario is vacuous
-    with pytest.raises(ScenarioRejected):
+    # society strictly prefers g at base, so the scenario is vacuous; the
+    # checker is the only place that tests the drawn tie
+    with pytest.raises(ScenarioRejected, match="society is not indifferent between f and g at base"):
         check_restricted_monotonicity(baru, base, 1, newpref, f, g)
 
 
@@ -271,6 +273,33 @@ def test_certify_refuses_single_outcome(table1):
     assert isinstance(out, Refused)
     assert out.reason == "image-mismatch"
     assert out.direction is not None and out.residual > 1e-9
+
+
+@pytest.mark.parametrize(
+    "outcomes, message",
+    [((), "outcome subset must be non-empty"), (("a", "x"), "unknown outcome 'x'")],
+    ids=["empty", "unknown"],
+)
+def test_certify_refuses_bad_outcome_subset(table1, outcomes, message):
+    profile, _, _ = table1
+    with pytest.raises(ValueError, match=message):
+        certify_coredundancy(profile, Coarsening.identity(), outcomes)
+
+
+def test_certify_needs_a_concerned_agent():
+    nobody = Profile(SPACE, (INDIFFERENT,) * 3)
+    with pytest.raises(ValueError, match="certification needs a concerned agent"):
+        certify_coredundancy(nobody, Coarsening.identity(), ("a", "b"))
+
+
+def test_certify_refuses_improper_pushforward(table1):
+    # the second piece's slope is 2e-320: agent 0's pushed density overflows
+    profile, _, _ = table1
+    steep = Coarsening.from_dict({"pieces": [[0, 0.5, 0, 1, 1], [0.5, 1, 0, 1e-320, 1]]})
+    out = certify_coredundancy(profile, steep, ("a", "b"))
+    assert isinstance(out, Refused)
+    assert out.reason == "improper-pushforward"
+    assert out.detail.startswith("agent 0: ")
 
 
 def test_certify_interior_outcome_is_redundant():
@@ -762,8 +791,18 @@ def test_pareto_reversing_rule_violates(table1):
 
 def test_pareto_rejects_mismatched_pushforwards(table1):
     profile, f, g = table1
-    with pytest.raises(ScenarioRejected):
+    with pytest.raises(ScenarioRejected, match="act pushforwards differ across agents"):
         check_restricted_pareto(baru, profile, f, g)
+
+
+def test_agreement_gap(table1):
+    profile, f, g = table1
+    beliefs = [profile.agents[i].belief for i in profile.concerned]
+    # the fork gives outcome a mass 0.9 under one belief and 0.1 under the other
+    assert agreement_gap(f, beliefs, SPACE) == pytest.approx(0.8, abs=1e-15)
+    assert agreement_gap(g, beliefs, SPACE) == 0.0
+    assert agreement_gap(f, beliefs[:1], SPACE) == 0.0
+    assert agreement_gap(f, beliefs + [Density.uniform()], SPACE) == pytest.approx(0.8, abs=1e-15)
 
 
 def test_pareto_rejects_disagreement(table1):
@@ -781,6 +820,23 @@ def test_table1_unanimity_is_spurious(table1):
     assert rep.favored == "f"
     assert rep.strict_agents == (1,)
     assert rep.spurious and rep.common_belief is None
+
+
+def test_table1_reversed_unanimity_favours_g(table1):
+    profile, f, g = table1
+    rep = detect_spurious_unanimity(profile, g, f)
+    assert rep.favored == "g"
+    assert rep.strict_agents == (1,)
+    assert rep.as_dict()["agent_diffs"] == [[0, 0.0], [1, -0.09999999999999998]]
+    assert rep.spurious and rep.common_belief is None
+
+
+def test_split_verdicts_are_no_unanimity(table1):
+    profile, _, _ = table1
+    rep = detect_spurious_unanimity(profile, Act.constant("a"), Act.constant("b"))
+    assert rep.favored is None
+    assert rep.strict_agents == ()
+    assert rep.common_belief is None and not rep.spurious
 
 
 def test_common_belief_exists_for_g(table1):

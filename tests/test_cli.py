@@ -343,6 +343,22 @@ def test_image_refuses_coarsening_without_proper_pushforward(table1_file, tmp_pa
     assert not svg.exists() and not csv.exists()
 
 
+@pytest.mark.parametrize("concerned", [2, 1])
+def test_image_refuses_empty_outcome_list(tmp_path, capsys, concerned):
+    # the outcome list holds only blanks; a one-agent image fails alike
+    data = _with()
+    if concerned == 1:
+        data["agents"][1] = {"belief": None, "utility": None}
+    path = _write(tmp_path, "profile.json", data)
+    svg, csv = tmp_path / "e.svg", tmp_path / "e.csv"
+    rc = main(["image", path, "--restrict", ", ,", "--svg", str(svg), "--csv", str(csv)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["error"] == "restriction needs at least one outcome"
+    assert not svg.exists() and not csv.exists()
+
+
 def test_image_three_agents_csv_only(tmp_path, capsys):
     data = dict(TABLE1)
     data["agents"] = data["agents"][:2] + [
@@ -681,6 +697,14 @@ _PIN_FILES = {
     "q_orient17.json": {"pieces": [[0, 1, 0, 1, 1.7]]},
     "q_cover.json": {"pieces": [[0, 1, 0, 0.5, 1]]},
     "q_flat.json": {"pieces": [[0, 1, 0.5, 0.5, 1]]},
+    # utilities u and 1 - u: the summed utility is constant
+    "cancel.json": _with(
+        agents=[
+            {"belief": {"values": [1.8, 0.2]}, "utility": {"a": 1, "b": 0, "c": 0.9, "d": 0.25}},
+            {"belief": {"values": [0.2, 1.8]}, "utility": {"a": 0, "b": 1, "c": 0.1, "d": 0.75}},
+            {"belief": None, "utility": None},
+        ]
+    ),
 }
 
 # sha256 of [exit code, stdout, stderr], first 16 hex digits.  Written CSV
@@ -692,6 +716,7 @@ _PINNED_CALLS = [
     ("aggregate table1.json --swf swf4 --acts acts.json", "e2519003e7367ed2"),
     ("aggregate table1.json --swf weighted --params weights.json", "b585fd0052eaeed4"),
     ("aggregate indiff.json", "c83d7926a0557540"),
+    ("aggregate cancel.json", "534dae90ef54f679"),
     ("aggregate table1.json --acts acts_obj.json", "67cee9a8d009a5f9"),
     ("aggregate table1.json --acts acts_empty.json", "e14b8b99645fc7a3"),
     ("aggregate table1.json --acts acts_short.json", "769425f884923978"),

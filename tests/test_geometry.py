@@ -375,6 +375,14 @@ def test_outcome_restriction_shrinks_image(table1):
     assert not sub.contains((0.9, 0.9))
 
 
+def test_empty_outcome_restriction_is_refused(table1):
+    profile, _, _ = table1
+    with pytest.raises(ValueError, match="outcome subset must be non-empty"):
+        image_polytope(profile, (None, ()))
+    with pytest.raises(ValueError, match="unknown outcome 'x'"):
+        geometry_for(profile, labels=("a", "x"))
+
+
 def test_restriction_by_halving_coarsening(table1):
     profile, _, _ = table1
     # q collapses the two halves of the state space onto one copy, so

@@ -25,7 +25,7 @@ from baru import (
     segment_masses,
 )
 from baru.harness import _merge_pairs_coarsening, _pairflat_density
-from baru.measure import _values_along, cell_values, interval_masses
+from baru.measure import _values_along, cell_values, common_grid, interval_masses
 
 
 def test_eventset_complement_partitions_unit_interval():
@@ -98,6 +98,14 @@ def test_segment_masses_sums_to_one():
     masses = segment_masses(d, (0.0, 0.1, 0.3, 0.9, 1.0))
     assert math.fsum(masses) == pytest.approx(1.0, abs=1e-12)
     assert masses[0] == pytest.approx(0.2, abs=1e-12)
+
+
+def test_common_grid_is_merged_breakpoints_and_segment_masses():
+    d1 = Density((0.0, 0.5, 1.0), (1.0, 1.0))
+    d2 = Density((0.0, 0.25, 1.0), (2.0, 2.0 / 3.0))
+    bps, rows = common_grid((d1, d2), extra=(0.7,))
+    assert bps == merged_breakpoints((d1, d2), extra=(0.7,))
+    assert rows == (segment_masses(d1, bps), segment_masses(d2, bps))
 
 
 def test_belief_distance_is_total_variation():

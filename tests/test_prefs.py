@@ -18,6 +18,7 @@ from baru import (
     TOL_MEASURE,
     Utility,
     ZeroFunction,
+    baru,
     compare,
     discount_to_belief,
     expected_utility,
@@ -29,7 +30,7 @@ from baru import (
 )
 from baru.harness import random_density, random_profile, random_utility
 from baru.measure import merged_breakpoints, segment_masses
-from baru.prefs import _cut_at_mass
+from baru.prefs import _cut_at_mass, act_value
 
 SPACE = OutcomeSpace(("a", "b", "c", "d"))
 
@@ -41,6 +42,14 @@ def test_outcome_space_needs_four_distinct_labels():
         OutcomeSpace(("a", "b", "c", "c"))
     assert SPACE.index("c") == 2
     assert "c" in SPACE and "z" not in SPACE
+
+
+def test_outcome_subset_is_checked():
+    assert SPACE.subset(iter(["c", "a"])) == ("c", "a")
+    with pytest.raises(ValueError, match="outcome subset must be non-empty"):
+        SPACE.subset(())
+    with pytest.raises(ValueError, match="unknown outcome 'x'"):
+        SPACE.subset(("a", "x"))
 
 
 def test_act_must_tile_unit_interval():
@@ -200,6 +209,16 @@ def test_expected_utility_hand_value(table1):
     assert expected_utility(profile.agents[1], f) == pytest.approx(0.9, abs=1e-15)
     assert expected_utility(profile.agents[1], g) == pytest.approx(0.8, abs=1e-15)
     assert expected_utility(INDIFFERENT, f) == 0.0
+
+
+def test_expected_utility_and_society_ev_share_one_fold(table1):
+    profile, f, g = table1
+    society = baru(profile)
+    raw = dict(society.raw_utility)
+    for act in (f, g):
+        for pref in profile.agents[:2]:
+            assert expected_utility(pref, act) == act_value(pref.belief, pref.utility.value, act)
+        assert society.ev(act) == act_value(society.belief, raw.__getitem__, act)
 
 
 def test_compare_verdicts(table1):
