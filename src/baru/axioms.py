@@ -381,7 +381,7 @@ def _restricted_view(
     rules themselves apply.  None when that restriction is indifference."""
     if result.preference.is_indifferent:
         return None
-    raw = dict(result.raw_utility)
+    raw = result.raw_map
     norm = _normalized_utility(outcomes, [raw[o] for o in outcomes])
     if norm is None:
         return None

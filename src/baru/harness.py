@@ -77,11 +77,66 @@ def child_seed(seed: int, tag: str, index: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# draws from the generator
+#
+# Every draw reads a `random.Random` only through `getrandbits`, the
+# Mersenne Twister's raw bits, and `random()`, whose sequence CPython
+# guarantees across versions.  Each helper below computes what CPython
+# 3.10-3.13's `random.Random` method of the same name computes, so it
+# returns the same values and leaves the generator in the same state; a
+# seed's draws no longer depend on how a later CPython spells `randrange`
+# or `sample`.  A uniform draw on [a, b] is written out as
+# `a + (b - a) * rng.random()`, which is `Random.uniform(a, b)`.
+
+
+def _below(rng: random.Random, n: int) -> int:
+    """`Random._randbelow(n)`: n.bit_length() random bits, drawn again
+    while they read n or more.  n must be at least 1."""
+    if n < 1:
+        raise ValueError(f"need a positive bound, not {n}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def _randint(rng: random.Random, a: int, b: int) -> int:
+    """`Random.randint(a, b)`, which is `Random.randrange(a, b + 1)`."""
+    return a + _below(rng, b - a + 1)
+
+
+def _choice(rng: random.Random, seq: Sequence):
+    """`Random.choice(seq)`."""
+    return seq[_below(rng, len(seq))]
+
+
+def _sample(rng: random.Random, population: Sequence, k: int) -> list:
+    """`Random.sample(population, k)` by its pool method, the one CPython
+    takes for at most 21 items: each pick is a random index among the
+    items not yet picked, and the last of those moves into its place.  A
+    larger population raises ValueError, since CPython samples it
+    another way."""
+    n = len(population)
+    if n > 21:
+        raise ValueError(f"the pool method covers at most 21 items, not {n}")
+    if not 0 <= k <= n:
+        raise ValueError(f"cannot sample {k} of {n} items")
+    pool = list(population)
+    picked = []
+    for i in range(n, n - k, -1):
+        j = _below(rng, i)
+        picked.append(pool[j])
+        pool[j] = pool[i - 1]
+    return picked
+
+
+# ---------------------------------------------------------------------------
 # random building blocks
 
 
 def random_space(rng: random.Random, lo: int = 4, hi: int = 6) -> OutcomeSpace:
-    n = rng.randint(lo, hi)
+    n = _randint(rng, lo, hi)
     return OutcomeSpace(tuple(f"o{k + 1}" for k in range(n)))
 
 
@@ -91,23 +146,23 @@ def random_space(rng: random.Random, lo: int = 4, hi: int = 6) -> OutcomeSpace:
 def _lattice_breakpoints(rng: random.Random, k: int) -> tuple[float, ...]:
     """0, k - 1 distinct random cuts on the 1/GRID lattice, and 1: the
     breakpoints of k cells."""
-    cuts = sorted(rng.sample(range(1, GRID), k - 1))
+    cuts = sorted(_sample(rng, range(1, GRID), k - 1))
     return (0.0, *(c / GRID for c in cuts), 1.0)
 
 
 def _utility_values(rng: random.Random, labels: Sequence[str]) -> dict[str, float]:
     """0 at one random label, 1 at another, and uniform on [0.05, 0.95] at
     the rest, in label order."""
-    lo, hi = rng.sample(labels, 2)
+    lo, hi = _sample(rng, labels, 2)
     return {
-        lab: 0.0 if lab == lo else 1.0 if lab == hi else rng.uniform(0.05, 0.95)
+        lab: 0.0 if lab == lo else 1.0 if lab == hi else 0.05 + (0.95 - 0.05) * rng.random()
         for lab in labels
     }
 
 
 def _convex_weights(rng: random.Random, k: int) -> list[float]:
     """k weights, each uniform on [0.05, 1] before they are scaled to sum to 1."""
-    ws = [rng.uniform(0.05, 1.0) for _ in range(k)]
+    ws = [0.05 + (1.0 - 0.05) * rng.random() for _ in range(k)]
     tot = fsum(ws)
     return [w / tot for w in ws]
 
@@ -125,8 +180,8 @@ def _placed_profile(
 
 def random_density(rng: random.Random) -> Density:
     """Piecewise-constant density with breakpoints on the 1/GRID lattice."""
-    bps = _lattice_breakpoints(rng, rng.randint(2, 4))
-    raw = [rng.uniform(0.15, 2.0) for _ in bps[1:]]
+    bps = _lattice_breakpoints(rng, _randint(rng, 2, 4))
+    raw = [0.15 + (2.0 - 0.15) * rng.random() for _ in bps[1:]]
     total = fsum(v * (bps[j + 1] - bps[j]) for j, v in enumerate(raw))
     return Density(bps, tuple(v / total for v in raw))
 
@@ -142,9 +197,9 @@ def _random_preference(rng: random.Random, space: OutcomeSpace) -> Preference:
 
 
 def random_act(rng: random.Random, space: OutcomeSpace) -> Act:
-    bps = _lattice_breakpoints(rng, rng.randint(2, 5))
+    bps = _lattice_breakpoints(rng, _randint(rng, 2, 5))
     return Act.from_segments(
-        tuple((a, b, rng.choice(space.labels)) for a, b in zip(bps, bps[1:])),
+        tuple((a, b, _choice(rng, space.labels)) for a, b in zip(bps, bps[1:])),
         merge=True,
     )
 
@@ -181,9 +236,9 @@ def random_profile(
     n_concerned: int | None = None,
 ) -> Profile:
     space = space if space is not None else random_space(rng)
-    n = n_agents if n_agents is not None else rng.randint(3, 4)
+    n = n_agents if n_agents is not None else _randint(rng, 3, 4)
     k = n_concerned if n_concerned is not None else (2 if rng.random() < 0.7 else 3)
-    slots = sorted(rng.sample(range(n), min(k, n)))
+    slots = sorted(_sample(rng, range(n), min(k, n)))
     for _ in range(30):
         prof = _placed_profile(space, n, slots, [_random_preference(rng, space) for _ in slots])
         if not _is_common_utility(prof):
@@ -298,13 +353,14 @@ def _fiber_tilt(rng: random.Random, d: Density, cell_bps: Sequence[float]) -> De
             new_bps.append(b)
             new_vals.append(vals[0])
             continue
-        j = rng.randrange(1, len(pts) - 1)
+        j = _randint(rng, 1, len(pts) - 2)
         mass_left = fsum(v * w for v, w in zip(vals[:j], widths[:j]))
         mass_right = fsum(v * w for v, w in zip(vals[j:], widths[j:]))
         if mass_left <= 1e-6 or mass_right <= 1e-6:
             fl = fr = 1.0
         else:
-            e = rng.uniform(-0.3, min(0.3, 0.9 * mass_right / mass_left))
+            hi = min(0.3, 0.9 * mass_right / mass_left)
+            e = -0.3 + (hi - -0.3) * rng.random()
             fl = 1.0 + e
             fr = 1.0 - e * mass_left / mass_right
         for kk, v in enumerate(vals):
@@ -333,7 +389,7 @@ def rm_scenario(
     is rejected after its first failed try, with the message it would give
     after 40."""
     space = random_space(rng)
-    n = rng.randint(3, 4)
+    n = _randint(rng, 3, 4)
     if variant == "indifferent":
         # two agents whose utilities sum to a constant leave society
         # completely indifferent under equal-weight rules
@@ -351,7 +407,7 @@ def rm_scenario(
     before = swf(base)
     if before.preference.is_indifferent:
         raise ScenarioRejected("society indifferent at base")
-    raw = dict(before.raw_utility)
+    raw = before.raw_map
     lo_lab = min(raw, key=raw.get)
     hi_lab = max(raw, key=raw.get)
     if raw[hi_lab] - raw[lo_lab] < 0.05:
@@ -397,7 +453,7 @@ def _merge_pairs_coarsening() -> Coarsening:
 def _pairflat_density(rng: random.Random) -> Density:
     """Density constant on each sibling pair of 1/16 cells, with its eight
     values on the 1/8 grid."""
-    raw = [rng.uniform(0.15, 2.0) for _ in range(8)]
+    raw = [0.15 + (2.0 - 0.15) * rng.random() for _ in range(8)]
     return discount_to_belief([j / 8 for j in range(9)], raw)
 
 
@@ -405,11 +461,11 @@ def ira_scenario(
     rng: random.Random, variant: str
 ) -> tuple[Profile, Profile, Coarsening, tuple[str, ...]]:
     space = random_space(rng, 5, 6)
-    m = rng.randint(3, 4)
-    outcomes = tuple(sorted(rng.sample(space.labels, m), key=space.index))
+    m = _randint(rng, 3, 4)
+    outcomes = tuple(sorted(_sample(rng, space.labels, m), key=space.index))
     off = tuple(lab for lab in space.labels if lab not in outcomes)
-    n = rng.randint(3, 4)
-    slots = sorted(rng.sample(range(n), 2))
+    n = _randint(rng, 3, 4)
+    slots = sorted(_sample(rng, range(n), 2))
 
     def fill_off(per_agent: list[dict[str, float]]) -> list[dict[str, float]]:
         # off-subset utility vectors sit strictly inside the hull of the
@@ -430,7 +486,7 @@ def ira_scenario(
     if variant == "merge":
         q = _merge_pairs_coarsening()
         beliefs1 = [_pairflat_density(rng) for _ in slots]
-        tilts = [rng.uniform(-0.4, 0.4) for _ in range(8)]
+        tilts = [-0.4 + (0.4 - -0.4) * rng.random() for _ in range(8)]
         bps = tuple(j / GRID for j in range(GRID + 1))
         beliefs2 = []
         for d in beliefs1:
@@ -465,7 +521,7 @@ def pareto_scenario(
     utils = [prof.agents[i].utility for i in ids]
     if constant:
         for _ in range(60):
-            x, y = rng.sample(prof.space.labels, 2)
+            x, y = _sample(rng, prof.space.labels, 2)
             diffs = [u.value(x) - u.value(y) for u in utils]
             if all(d >= 1e-3 for d in diffs) or all(d <= -1e-3 for d in diffs):
                 return prof, Act.constant(x), Act.constant(y)
@@ -483,7 +539,7 @@ def pareto_scenario(
         if floor < max(evs) + 0.05:
             continue
         probs = dict(zip(labs, ps))
-        t = rng.uniform(0.25, 0.75)
+        t = 0.25 + (0.75 - 0.25) * rng.random()
         lot_g = Lottery(probs, prof.space)
         lot_f = Lottery(
             {lab: (1.0 - t) * p + (t if lab == star else 0.0) for lab, p in probs.items()},
@@ -501,10 +557,10 @@ def pareto_scenario(
 def continuity_scenario(rng: random.Random, twin: bool) -> tuple[Profile, int]:
     if not twin:
         prof = random_profile(rng)
-        return prof, rng.choice(prof.concerned)
+        return prof, _choice(rng, prof.concerned)
     space = random_space(rng)
-    n = rng.randint(3, 4)
-    slots = sorted(rng.sample(range(n), 3))
+    n = _randint(rng, 3, 4)
+    slots = sorted(_sample(rng, range(n), 3))
     shared = _random_preference(rng, space)
     placed = (shared, Preference(shared.belief, shared.utility), _random_preference(rng, space))
     prof = _placed_profile(space, n, slots, placed)
@@ -582,12 +638,12 @@ class AxiomSpec:
 
 def _draw_faithfulness(rng: random.Random, t: int, swf: Swf) -> dict:
     space = random_space(rng)
-    return {"outcomes": space.labels, "n_agents": rng.randint(3, 5)}
+    return {"outcomes": space.labels, "n_agents": _randint(rng, 3, 5)}
 
 
 def _draw_profile_agent(rng: random.Random, t: int, swf: Swf) -> dict:
     prof = random_profile(rng)
-    return {"profile": prof, "agent": rng.choice(prof.concerned)}
+    return {"profile": prof, "agent": _choice(rng, prof.concerned)}
 
 
 def _draw_rm(rng: random.Random, t: int, swf: Swf) -> dict:

@@ -74,11 +74,12 @@ class SwfResult:
         summed utility.  Zero when nobody is concerned."""
         if self.belief is None or self.raw_utility is None:
             return 0.0
-        return act_value(self.belief, self._raw.__getitem__, act)
+        return act_value(self.belief, self.raw_map.__getitem__, act)
 
     @cached_property
-    def _raw(self) -> dict[str, float]:
-        """`raw_utility` as a mapping, built on the first `ev`."""
+    def raw_map(self) -> dict[str, float]:
+        """`raw_utility` as a dict, built on first use and shared by every
+        reader after it; not a field, so `repr` and equality ignore it."""
         return dict(self.raw_utility)
 
     def compare(self, f: Act, g: Act) -> Comparison:

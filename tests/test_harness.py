@@ -1,9 +1,15 @@
 """Seeded scenario generators, battery plumbing, the expected-violation
 matrix at reduced trial counts, and witness replay."""
 
+import ast
 import hashlib
+import inspect
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +44,9 @@ from baru.harness import (
     AXIOM_SPECS,
     EXPECTED_VIOLATIONS,
     MATRIX_AXIOMS,
+    _choice,
+    _randint,
+    _sample,
     child_seed,
     continuity_scenario,
     ira_scenario,
@@ -286,6 +295,107 @@ def test_draws_pinned(axiom, rule):
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     rejected = sum(line.startswith("rejected: ") for line in lines)
     assert (digest, rejected) == DRAW_PINS[axiom, rule], f"the {axiom} draws moved"
+
+
+def _replica_draws(rng, stdlib):
+    """Every draw the harness makes, in one fixed order: through the
+    `random.Random` methods when `stdlib`, else through the harness's
+    replicas of them.  Each is returned as (what was drawn, value)."""
+    out = []
+    # random_space, the batteries' agent counts, the lattice's cell counts
+    # and `_fiber_tilt`'s split index (a `randrange(1, m + 1)` there)
+    for a, b in [(4, 6), (5, 6), (2, 4), (2, 5), (3, 4), (3, 5)]:
+        out.append((f"randint({a}, {b})", rng.randint(a, b) if stdlib else _randint(rng, a, b)))
+    for m in range(1, 18):
+        out.append((f"randrange(1, {m + 1})", rng.randrange(1, m + 1) if stdlib else _randint(rng, 1, m)))
+    # the lattice cuts, outcome pairs and subsets, and agent slots
+    pops = [range(1, 16), range(21)] + [range(n) for n in (3, 4)]
+    pops += [tuple(f"o{j + 1}" for j in range(n)) for n in (4, 5, 6)]
+    for pop in pops:
+        for k in range(1, min(len(pop), 4) + 1):
+            v = rng.sample(pop, k) if stdlib else _sample(rng, pop, k)
+            out.append((f"sample({pop!r}, {k})", v))
+    # an act's outcomes and a drawn agent
+    for seq in [tuple(f"o{j + 1}" for j in range(n)) for n in (1, 4, 5, 6)] + [(0, 2), (1, 2, 3)]:
+        out.append((f"choice({seq!r})", rng.choice(seq) if stdlib else _choice(rng, seq)))
+    # utility values, convex weights, densities, tilts and Pareto mixtures
+    uniforms = [(0.05, 0.95), (0.05, 1.0), (0.15, 2.0), (-0.4, 0.4), (0.25, 0.75), (-0.3, 0.3), (-0.3, 1e-3)]
+    for a, b in uniforms:
+        out.append((f"uniform({a}, {b})", rng.uniform(a, b) if stdlib else a + (b - a) * rng.random()))
+    return out
+
+
+def test_draw_helpers_replicate_the_random_methods():
+    # same values and same generator state as the stdlib methods, including
+    # the redraws of `_below`, on 10 000 battery-style seeds
+    for t in range(10_000):
+        seed = child_seed(20240801, "replicas", t)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        got, want = _replica_draws(ours, False), _replica_draws(theirs, True)
+        assert got == want, (seed, next(g for g, w in zip(got, want) if g != w))
+        assert ours.getstate() == theirs.getstate(), seed
+
+
+def test_sample_refuses_populations_past_the_pool_method():
+    # CPython samples 22 or more items another way, so the replica refuses
+    rng = random.Random(1)
+    assert len(_sample(rng, range(21), 21)) == 21
+    with pytest.raises(ValueError, match="at most 21 items"):
+        _sample(rng, range(22), 2)
+    with pytest.raises(ValueError, match="cannot sample 5 of 4"):
+        _sample(rng, range(4), 5)
+    with pytest.raises(ValueError, match="positive bound"):
+        _choice(rng, ())
+
+
+def test_harness_reads_the_generator_only_through_getrandbits_and_random():
+    # a later edit cannot bring back a stdlib draw whose algorithm CPython
+    # may change: no `rng.<method>` but these two, no module-level draw
+    methods: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(inspect.getsource(harness))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = getattr(node.func.value, "id", None)
+            methods.setdefault(owner, set()).add(node.func.attr)
+    assert methods["rng"] == {"getrandbits", "random"}
+    assert methods["random"] == {"Random"}
+
+
+# Thirty trials of every battery against every rule, printed as JSON.
+_ALL_BATTERIES = """
+import json
+from baru.harness import AXIOM_SPECS, child_seed, run_axiom_battery
+from baru.swf import RULE_NAMES, rule_by_name
+print(json.dumps([
+    run_axiom_battery(rule_by_name(rule), axiom, 30, child_seed(7, f"{rule}:{axiom}", 0)).as_dict()
+    for rule in RULE_NAMES
+    for axiom in AXIOM_SPECS
+]))
+"""
+
+# Installed before `import baru`: any read of a numpy attribute raises.
+_NO_NUMPY = """
+import sys, types
+class NoNumpy(types.ModuleType):
+    def __getattr__(self, name):
+        raise RuntimeError(f"numpy.{name} was read")
+sys.modules["numpy"] = NoNumpy("numpy")
+"""
+
+
+def test_batteries_need_no_numpy():
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", prefix + _ALL_BATTERIES], env=env, capture_output=True, text=True, timeout=300
+        )
+        for prefix in (_NO_NUMPY, "")
+    ]
+    for run in runs:
+        assert run.returncode == 0, run.stderr
+    stubbed, plain = (json.loads(run.stdout) for run in runs)
+    assert len(plain) == len(RULE_NAMES) * len(AXIOM_SPECS)
+    assert stubbed == plain
 
 
 def _calls_per_trial(monkeypatch, swf, axiom, trials, seed):

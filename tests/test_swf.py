@@ -69,6 +69,17 @@ def test_baru_table1_society(table1):
     assert result.compare(f, g).verdict == "second"
 
 
+def test_raw_map_is_built_once_and_kept_out_of_repr_and_equality(table1):
+    profile, f, _ = table1
+    result, again = baru(profile), baru(profile)
+    text = repr(result)
+    result.ev(f)
+    assert result.raw_map is result.raw_map
+    assert result.raw_map == dict(result.raw_utility)
+    assert repr(result) == text and "raw_map" not in text
+    assert result == again
+
+
 def test_baru_ignores_indifferent_agents(table1):
     profile, _, _ = table1
     base = baru(profile)
