@@ -18,8 +18,9 @@ falls short of the full one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import atan2, hypot, inf, pi, sqrt
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -73,7 +74,8 @@ class ProfileGeometry:
     """A profile's concerned agents (or a restriction of them) on their
     common grid, as Python-float rows: masses[i][s], the belief mass of
     segment s, and utils[i][x], the utility of outcome x, for concerned
-    agent i.  `tensor` holds their products for the sampled kernels."""
+    agent i.  `rows` holds their products, the contribution points, and
+    `tensor` the same products for the sampled kernels."""
 
     agent_ids: tuple[int, ...]
     labels: tuple[str, ...]
@@ -86,9 +88,17 @@ class ProfileGeometry:
         return len(self.agent_ids)
 
     @cached_property
+    def rows(self) -> tuple[list[float], ...]:
+        """rows[i][s * X + x] = masses[i][s] * utils[i][x]: agent i's
+        contribution points on Python floats, segment after segment, as
+        the single-direction oracle and swf1's Frank-Wolfe read them."""
+        return tuple([m * u for m in ms for u in us] for ms, us in zip(self.masses, self.utils))
+
+    @cached_property
     def tensor(self) -> np.ndarray:
-        """tensor[s, x, i] = masses[i][s] * utils[i][x], built on first use
-        by `support_values`, `attained_points` and `attaining_act`."""
+        """tensor[s, x, i] = masses[i][s] * utils[i][x], the bits of
+        rows[i][s * X + x], built on first use by `support_values` and
+        `attained_points`."""
         masses, utils = np.array(self.masses), np.array(self.utils)  # (n, S), (n, X)
         return masses.T[:, None, :] * utils.T[None, :, :]  # (S, X, n)
 
@@ -125,20 +135,44 @@ def support_values(geom: ProfileGeometry, directions: np.ndarray) -> np.ndarray:
     return scores.max(axis=0).sum(axis=0)
 
 
-def _argmax_choices(geom: ProfileGeometry, direction: np.ndarray) -> np.ndarray:
-    scores = geom.tensor @ np.asarray(direction, dtype=float)  # (S, X)
-    return scores.argmax(axis=1)
+# One direction on Python floats: the oracle of swf1's Frank-Wolfe, of
+# `attaining_act` and of `ImagePolytope.support_of`.  Every sum is a left
+# fold, never the builtin `sum`, which compensates from Python 3.12 on.
+
+
+def _scores(rows: Sequence[Sequence[float]], direction: Sequence[float]) -> list[float]:
+    """c . p for every contribution point p of `rows`, a left fold over
+    agents from 0.0: 0.0 + c[0] * p[0] + c[1] * p[1] + ..."""
+    scores = [0.0] * len(rows[0])
+    for c, row in zip(direction, rows, strict=True):
+        scores = [a + c * v for a, v in zip(scores, row)]
+    return scores
+
+
+def _picks(scores: Sequence[float], width: int) -> list[int]:
+    """In each segment of `width` outcomes, the index of its first point
+    of highest score, as numpy's `argmax` picks it."""
+    segs = zip(*[iter(scores)] * width)
+    return [k * width + seg.index(max(seg)) for k, seg in enumerate(segs)]
+
+
+def _best_vertex(
+    rows: Sequence[Sequence[float]], width: int, scores: Sequence[float]
+) -> list[float]:
+    """The image vertex that takes each segment's pick (`_picks`); the sum
+    over segments is a left fold."""
+    picks = _picks(scores, width)
+    return [reduce(add, map(row.__getitem__, picks)) for row in rows]
 
 
 def attaining_act(geom: ProfileGeometry, direction: Sequence[float]) -> Act:
     """An act achieving the support value in the given direction (taking
     the per-segment best outcome; ties break toward the first label)."""
-    idx = _argmax_choices(geom, np.asarray(direction, dtype=float))
-    pieces = [
-        (geom.breakpoints[s], geom.breakpoints[s + 1], geom.labels[int(idx[s])])
-        for s in range(len(idx))
-    ]
-    return Act.from_segments(pieces, merge=True)
+    X, bps = len(geom.labels), geom.breakpoints
+    picks = _picks(_scores(geom.rows, direction), X)
+    return Act.from_segments(
+        (bps[s], bps[s + 1], geom.labels[p - s * X]) for s, p in enumerate(picks)
+    )
 
 
 def attained_points(geom: ProfileGeometry, directions: np.ndarray) -> np.ndarray:
@@ -283,7 +317,10 @@ class ImagePolytope:
         return len(self.agent_ids)
 
     def support_of(self, direction: Sequence[float]) -> float:
-        return float(support_values(self.geometry, np.asarray([direction], dtype=float))[0])
+        """h(c) on Python floats: a left fold over segments of each
+        segment's highest score."""
+        scores = _scores(self.geometry.rows, direction)
+        return reduce(add, map(scores.__getitem__, _picks(scores, len(self.labels))))
 
     def attaining_act(self, direction: Sequence[float]) -> Act:
         return attaining_act(self.geometry, direction)
@@ -375,10 +412,9 @@ def image_polytope(
     support = support_values(geom, dirs)
     vertices: tuple | None = None
     if geom.dimension == 1:
-        hi = float(support_values(geom, np.array([[1.0]]))[0])
-        # 0.0 - h, not -h: a least expected utility of 0 reads 0.0, not -0.0
-        lo = 0.0 - float(support_values(geom, np.array([[-1.0]]))[0])
-        vertices = ((lo,), (hi,))
+        # the support rows of directions +1 and -1; 0.0 - h, not -h: a
+        # least expected utility of 0 reads 0.0, not -0.0
+        vertices = ((0.0 - float(support[1]),), (float(support[0]),))
     elif geom.dimension == 2:
         vertices = minkowski_polygon(geom)
     elif geom.dimension == 3:

@@ -199,8 +199,7 @@ def _random_preference(rng: random.Random, space: OutcomeSpace) -> Preference:
 def random_act(rng: random.Random, space: OutcomeSpace) -> Act:
     bps = _lattice_breakpoints(rng, _randint(rng, 2, 5))
     return Act.from_segments(
-        tuple((a, b, _choice(rng, space.labels)) for a, b in zip(bps, bps[1:])),
-        merge=True,
+        tuple((a, b, _choice(rng, space.labels)) for a, b in zip(bps, bps[1:]))
     )
 
 
@@ -741,7 +740,7 @@ def _run_battery(
     seed: int,
     run_one: Callable[[random.Random, int], tuple[AxiomVerdict, dict]],
 ) -> AxiomVerdict:
-    rejected = 0
+    rejected, run, witness = 0, trials, None
     for t in range(trials):
         cseed = child_seed(seed, axiom, t)
         rng = random.Random(cseed)
@@ -751,11 +750,10 @@ def _run_battery(
             rejected += 1
             continue
         if not verdict.satisfied:
-            witness = violation_witness(axiom, t, cseed, scenario, verdict.witness)
-            notes = f"{rejected} scenarios rejected" if rejected else ""
-            return AxiomVerdict(axiom, False, t + 1, witness, notes)
+            run, witness = t + 1, violation_witness(axiom, t, cseed, scenario, verdict.witness)
+            break
     notes = f"{rejected} scenarios rejected" if rejected else ""
-    return AxiomVerdict(axiom, True, trials, None, notes)
+    return AxiomVerdict(axiom, witness is None, run, witness, notes)
 
 
 def _once_per_profile(swf: Swf) -> Swf:

@@ -219,18 +219,15 @@ class Act:
         return Act(((0.0, 1.0, label),))
 
     @staticmethod
-    def from_segments(
-        pieces: Iterable[tuple[float, float, str]], merge: bool = False
-    ) -> "Act":
-        segs = sorted((float(a), float(b), str(lab)) for a, b, lab in pieces)
-        if merge:
-            merged: list[list] = []
-            for a, b, lab in segs:
-                if merged and merged[-1][2] == lab and merged[-1][1] == a:
-                    merged[-1][1] = b
-                else:
-                    merged.append([a, b, lab])
-            segs = [(a, b, lab) for a, b, lab in merged]
+    def from_segments(pieces: Iterable[tuple[float, float, str]]) -> "Act":
+        """The act of these pieces, sorted, with touching pieces of one
+        outcome joined."""
+        segs: list[tuple[float, float, str]] = []
+        for a, b, lab in sorted((float(a), float(b), str(lab)) for a, b, lab in pieces):
+            if segs and segs[-1][2] == lab and segs[-1][1] == a:
+                segs[-1] = (segs[-1][0], b, lab)
+            else:
+                segs.append((a, b, lab))
         return Act(tuple(segs))
 
     def outcome_at(self, x: float) -> str:
@@ -437,7 +434,7 @@ def realize_lottery_act(
                 pieces.append((start, end, lab))
                 start = end
         pieces[-1] = (pieces[-1][0], bnd, pieces[-1][2])  # absorb drift at the cell edge
-    return Act.from_segments(pieces, merge=True)
+    return Act.from_segments(pieces)
 
 
 def _cut_at_mass(density: Density, a: float, b: float, target: float) -> float:
@@ -520,7 +517,7 @@ def simple_reduction(profile: Profile, act: Act) -> Act:
                 if cut < b:
                     pieces.append((cut, b, lo_lab))
                 done = True
-    return Act.from_segments(pieces, merge=True)
+    return Act.from_segments(pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from math import atan2, fsum, inf, isfinite, sqrt
 from operator import add, mul, sub
 from typing import Callable, Sequence
 
-from .geometry import geometry_for, segment_hulls
+from .geometry import _best_vertex, _scores, geometry_for, segment_hulls
 from .measure import (
     Density,
     TOL_EXACT,
@@ -259,17 +259,13 @@ def _nash_point(profile: Profile) -> list[float]:
     read `geometry_for`'s rows, segment masses on the merged grid and
     utilities in label order, in canonical order, on Python floats.  Two
     agents take the Pareto walk; three or more take Frank-Wolfe on the
-    products masses[i][s] * utils[i][x], the bits of the geometry's
-    tensor, one row per agent and segment after segment."""
+    geometry's contribution points (`ProfileGeometry.rows`)."""
     perm = _canonical_order(profile)
     geom = geometry_for(profile)
-    masses = [geom.masses[k] for k in perm]
-    utils = [geom.utils[k] for k in perm]
     if len(perm) == 2:
-        x_canon = _pareto_walk(masses, utils)
+        x_canon = _pareto_walk([geom.masses[k] for k in perm], [geom.utils[k] for k in perm])
     else:
-        rows = [[m * u for m in ms for u in us] for ms, us in zip(masses, utils)]
-        x_canon = _nash_frank_wolfe(rows, len(geom.labels))
+        x_canon = _nash_frank_wolfe([geom.rows[k] for k in perm], len(geom.labels))
     return [x for _, x in sorted(zip(perm, x_canon))]
 
 
@@ -358,16 +354,6 @@ def _newton_step(cols: list[list[float]], n: int) -> tuple[list[float], float]:
     return step, decrement
 
 
-def _best_vertex(rows: list[list[float]], width: int, scores: list[float]) -> list[float]:
-    """The image vertex that takes, in each segment of `width` outcomes,
-    the point of the first outcome of highest score, as `argmax` picks it.
-    rows[i] holds agent i's products segment after segment, and the sum
-    over segments is a left fold."""
-    segs = zip(*[iter(scores)] * width)
-    picks = [k * width + seg.index(max(seg)) for k, seg in enumerate(segs)]
-    return [reduce(add, map(row.__getitem__, picks)) for row in rows]
-
-
 # The benchmark (perfbench/) traces this solver by name as `swf.nash`, so
 # it stays a module global that takes `_nash_point`'s rows of products and
 # returns the point.
@@ -386,8 +372,9 @@ def _nash_frank_wolfe(rows: list[list[float]], width: int) -> list[float]:
     first.
 
     The solve runs on Python floats, the oracle included, so no BLAS
-    kernel reaches the point's bits.  The oracle scores each product point
-    by a left fold over agents, c[0] * p[0] + c[1] * p[1] + ...  Every
+    kernel reaches the point's bits.  The oracle is the image's own
+    single-direction one (`geometry._scores` and `_best_vertex`), which
+    scores each contribution point by a left fold over agents.  Every
     float sum is a left fold, never the builtin `sum`, which compensates
     from Python 3.12 on and would make the point depend on the
     interpreter.
@@ -435,10 +422,7 @@ def _nash_frank_wolfe(rows: list[list[float]], width: int) -> list[float]:
             lam = [lj / total for lj in lam]
         cur = [reduce(add, map(mul, lam, col)) for col in zip(*verts)]
         grad = [1.0 / xi for xi in cur]
-        scores = [0.0] * len(rows[0])
-        for g, row in zip(grad, rows):
-            scores = [a + g * v for a, v in zip(scores, row)]
-        vertex = _best_vertex(rows, width, scores)
+        vertex = _best_vertex(rows, width, _scores(rows, grad))
         gap = _dot(grad, list(map(sub, vertex, cur)))
         if gap <= 1e-12 * n:
             return cur

@@ -257,9 +257,7 @@ def test_criterion_8_image_polytope(table1):
         cells = list(zip(shared.breakpoints[:-1], shared.breakpoints[1:]))
         pts = []
         for combo in itertools.product(space.labels, repeat=len(cells)):
-            grid_act = Act.from_segments(
-                [(lo, hi, lab) for (lo, hi), lab in zip(cells, combo)], merge=True
-            )
+            grid_act = Act.from_segments([(lo, hi, lab) for (lo, hi), lab in zip(cells, combo)])
             pts.append(tuple(expected_utility(prof.agents[i], grid_act) for i in prof.concerned))
         want = sorted(_hull2d(pts))
         got = sorted(map(tuple, ipoly.vertices))

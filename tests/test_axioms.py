@@ -906,9 +906,7 @@ def test_common_belief_feasible_matches_per_cell_reference():
         rng.shuffle(agents)
         profile = Profile(SPACE, tuple(agents))
         f, g = (
-            Act.from_segments(
-                [(a, b, rng.choice(SPACE.labels)) for a, b in zip(bps, bps[1:])], merge=True
-            )
+            Act.from_segments([(a, b, rng.choice(SPACE.labels)) for a, b in zip(bps, bps[1:])])
             for bps in (
                 (0.0, *sorted({_cut(rng) for _ in range(rng.randint(0, 4))}), 1.0) for _ in "fg"
             )

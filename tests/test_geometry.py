@@ -45,9 +45,7 @@ def _grid_acts(space, bps, labels=None):
     labs = labels if labels is not None else space.labels
     cells = list(zip(bps[:-1], bps[1:]))
     for combo in itertools.product(labs, repeat=len(cells)):
-        yield Act.from_segments(
-            [(a, b, lab) for (a, b), lab in zip(cells, combo)], merge=True
-        )
+        yield Act.from_segments([(a, b, lab) for (a, b), lab in zip(cells, combo)])
 
 
 def test_direction_set_shapes_and_unit_norm():
@@ -67,6 +65,25 @@ def test_direction_set_is_cached_and_read_only():
         assert direction_set(dim) is dirs
         with pytest.raises(ValueError):
             dirs[0, 0] = 0.0
+
+
+def test_tensor_holds_the_rows_bits(rng):
+    # the contribution points: `rows` on Python floats, segment after
+    # segment, and the sampled kernels' tensor hold the same bits
+    for n in (1, 2, 3, 4):
+        geom = geometry_for(random_profile(rng, space=SPACE, n_agents=4, n_concerned=n))
+        S, X = len(geom.masses[0]), len(geom.labels)
+        assert geom.tensor.shape == (S, X, n)
+        flat = geom.tensor.transpose(2, 0, 1).reshape(n, S * X).tolist()
+        assert [[v.hex() for v in row] for row in geom.rows] == [
+            [v.hex() for v in row] for row in flat
+        ]
+        assert all(
+            geom.rows[i][s * X + x] == geom.masses[i][s] * geom.utils[i][x]
+            for i in range(n)
+            for s in range(S)
+            for x in range(X)
+        )
 
 
 def test_geometry_tensor_values(table1):
@@ -348,6 +365,24 @@ def test_one_agent_image_lower_vertex_is_positive_zero():
         assert 0.0 < hi <= 1.0
 
 
+def test_one_agent_image_ends_are_its_support_rows():
+    # the ends are the support rows of +1 and -1 bit for bit; beliefs of 8
+    # or more segments are where a sum of one direction's row would go
+    # pairwise and part from the rows' left fold over segments
+    rng = random.Random(2124)
+    for _ in range(200):
+        probs = [rng.random() + 0.01 for _ in range(rng.randint(8, 41))]
+        belief = Density.from_state_probs([p / math.fsum(probs) for p in probs])
+        values = {lab: rng.random() for lab in SPACE.labels}
+        values.update(a=0.0, b=1.0)
+        agents = (INDIFFERENT, Preference(belief, Utility(values)), INDIFFERENT)
+        poly = image_polytope(Profile(SPACE, agents))
+        assert len(poly.geometry.masses[0]) >= 8
+        assert poly.directions == ((1.0,), (-1.0,))
+        (lo,), (hi,) = poly.vertices
+        assert (lo.hex(), hi.hex()) == ((0.0 - poly.support[1]).hex(), poly.support[0].hex())
+
+
 def test_three_agent_vertices_are_attained_and_deduped(rng):
     profile = random_profile(rng, space=SPACE, n_agents=3, n_concerned=3)
     poly = image_polytope(profile)
@@ -438,8 +473,22 @@ class _NoNumpy:
 
 def test_swf1_and_two_agent_certificates_build_no_numpy_array(monkeypatch, thin_gap):
     # geometry_for's rows are Python floats; numpy builds only the sampled
-    # kernels' tensor, which neither swf1 nor the two-agent polygons read
+    # kernels' tensor, which neither swf1, the two-agent polygons nor a
+    # question about one direction (an attaining act, a support value) reads
+    draw = random.Random(2424)
+    profiles = [random_profile(draw, n_agents=4, n_concerned=n) for n in (1, 2, 3, 4)]
+    polys = [image_polytope(profile) for profile in profiles]
     monkeypatch.setattr(geometry_module, "np", _NoNumpy())
+    for profile, poly in zip(profiles, polys):
+        fresh = geometry_for(profile)
+        step = max(1, len(poly.directions) // 10)
+        for direction, h in list(zip(poly.directions, poly.support))[::step]:
+            act = poly.attaining_act(direction)
+            assert act == attaining_act(fresh, direction)
+            got = poly.support_of(direction)
+            assert abs(got - h) <= 1e-12
+            evs = [expected_utility(profile.agents[i], act) for i in profile.concerned]
+            assert abs(math.fsum(c * v for c, v in zip(direction, evs)) - got) <= 1e-12
     rng = random.Random(2121)
     sizes = {2: 0, 3: 0}
     for _ in range(120):

@@ -65,7 +65,7 @@ def test_act_must_tile_unit_interval():
 
 
 def test_act_merge_joins_adjacent_equal_labels():
-    act = Act.from_segments(((0.0, 0.3, "a"), (0.3, 0.7, "a"), (0.7, 1.0, "b")), merge=True)
+    act = Act.from_segments(((0.0, 0.3, "a"), (0.3, 0.7, "a"), (0.7, 1.0, "b")))
     assert act.segments == ((0.0, 0.7, "a"), (0.7, 1.0, "b"))
     assert act.outcomes_used() == ("a", "b")
 

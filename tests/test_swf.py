@@ -39,6 +39,7 @@ from baru import (
     swf6,
     weighted,
 )
+from baru import geometry as geometry_module
 from baru import swf as swf_module
 from baru.axioms import continuity_probe
 from baru.geometry import ProfileGeometry, direction_set, geometry_for, minkowski_polygon
@@ -628,6 +629,31 @@ def test_nash_frank_wolfe_matches_lstsq_reference(rng, monkeypatch):
     assert deficient >= 20
 
 
+def test_frank_wolfe_reads_the_geometry_rows(monkeypatch, rng):
+    # the contribution points have one builder: the solve gets the
+    # geometry's own rows, in canonical order
+    built, received = [], []
+    geometry_for_, frank_wolfe = swf_module.geometry_for, swf_module._nash_frank_wolfe
+
+    def recording_geometry_for(profile):
+        built.append(geometry_for_(profile))
+        return built[-1]
+
+    def recording_frank_wolfe(rows, width):
+        received.append((rows, width))
+        return frank_wolfe(rows, width)
+
+    monkeypatch.setattr(swf_module, "geometry_for", recording_geometry_for)
+    monkeypatch.setattr(swf_module, "_nash_frank_wolfe", recording_frank_wolfe)
+    for n in (3, 4, 3, 4):
+        profile = random_profile(rng, space=SPACE, n_agents=n, n_concerned=n)
+        _nash_point(profile)
+        (rows, width), geom = received[-1], built[-1]
+        perm = _canonical_order(profile)
+        assert width == len(geom.labels) and len(rows) == n
+        assert all(row is geom.rows[k] for row, k in zip(rows, perm))
+
+
 def test_best_vertex_takes_first_maximum_and_folds_segments():
     # the oracle's picks and sums, bit for bit: numpy's first maximum per
     # segment, then the picked points added segment after segment; lattice
@@ -644,7 +670,7 @@ def test_best_vertex_takes_first_maximum_and_folds_segments():
         for s in range(1, S):
             want = want + tensor[s, picks[s]]
         rows = tensor.transpose(2, 0, 1).reshape(n, S * X).tolist()
-        got = swf_module._best_vertex(rows, X, scores.ravel().tolist())
+        got = geometry_module._best_vertex(rows, X, scores.ravel().tolist())
         assert [v.hex() for v in got] == [v.hex() for v in want.tolist()]
         ties += any((row == row.max()).sum() > 1 for row in scores)
     assert ties >= 50
