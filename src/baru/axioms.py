@@ -622,7 +622,7 @@ def continuity_probe(swf: Swf, profile: Profile, agent: int | None = None) -> Co
     for step in _PROBE_STEPS:
         t = 0.0 if scale <= 0.0 else min(1.0, step / scale)
         mixed_vals = tuple([(1.0 - t) * x + t * y for x, y in cells])
-        mixed_belief = Density(bps, mixed_vals)
+        mixed_belief = Density._derived(bps, mixed_vals)
         mixed_utility = Utility(
             {lab: (1.0 - t) * u.value(lab) + t * v[lab] for lab in u.labels}
         )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from math import fsum
 from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
@@ -136,11 +137,20 @@ def _sample(rng: random.Random, population: Sequence, k: int) -> list:
 
 
 def random_space(rng: random.Random, lo: int = 4, hi: int = 6) -> OutcomeSpace:
-    n = _randint(rng, lo, hi)
+    return _space(_randint(rng, lo, hi))
+
+
+@lru_cache(maxsize=None)
+def _space(n: int) -> OutcomeSpace:
+    """The outcomes o1 .. on, built once per n and shared: an
+    `OutcomeSpace` is immutable."""
     return OutcomeSpace(tuple(f"o{k + 1}" for k in range(n)))
 
 
 # Each random object below has one builder, which every draw goes through.
+# A drawn object is built from parts that are valid by construction, so the
+# builders skip the checks (`Density._derived`, `Profile._derived`,
+# `_exact_utility`).
 
 
 def _lattice_breakpoints(rng: random.Random, k: int) -> tuple[float, ...]:
@@ -171,11 +181,12 @@ def _placed_profile(
     space: OutcomeSpace, n: int, slots: Sequence[int], prefs: Iterable[Preference]
 ) -> Profile:
     """n agents, the k-th preference in the k-th slot and complete
-    indifference elsewhere."""
+    indifference elsewhere; n is at least three and each preference is
+    drawn over the space's outcomes."""
     agents = [INDIFFERENT] * n
     for i, p in zip(slots, prefs):
         agents[i] = p
-    return Profile(space, tuple(agents))
+    return Profile._derived(space, agents)
 
 
 def random_density(rng: random.Random) -> Density:
@@ -183,7 +194,7 @@ def random_density(rng: random.Random) -> Density:
     bps = _lattice_breakpoints(rng, _randint(rng, 2, 4))
     raw = [0.15 + (2.0 - 0.15) * rng.random() for _ in bps[1:]]
     total = fsum(v * (bps[j + 1] - bps[j]) for j, v in enumerate(raw))
-    return Density(bps, tuple(v / total for v in raw))
+    return Density._derived(bps, tuple(v / total for v in raw))
 
 
 def random_utility(rng: random.Random, space: OutcomeSpace) -> Utility:
@@ -236,6 +247,8 @@ def random_profile(
 ) -> Profile:
     space = space if space is not None else random_space(rng)
     n = n_agents if n_agents is not None else _randint(rng, 3, 4)
+    if n < 3:
+        raise ValueError("a profile needs at least three agents")
     k = n_concerned if n_concerned is not None else (2 if rng.random() < 0.7 else 3)
     slots = sorted(_sample(rng, range(n), min(k, n)))
     for _ in range(30):
@@ -365,7 +378,7 @@ def _fiber_tilt(rng: random.Random, d: Density, cell_bps: Sequence[float]) -> De
         for kk, v in enumerate(vals):
             new_bps.append(pts[kk + 1])
             new_vals.append(v * (fl if kk < j else fr))
-    return Density(tuple(new_bps), tuple(new_vals))
+    return Density._derived(tuple(new_bps), tuple(new_vals))
 
 
 def rm_scenario(
@@ -492,14 +505,17 @@ def ira_scenario(
             vv = []
             for j, v in enumerate(d.values):
                 vv.extend((v * (1.0 + tilts[j]), v * (1.0 - tilts[j])))
-            beliefs2.append(Density(bps, tuple(vv)))
+            beliefs2.append(Density._derived(bps, tuple(vv)))
     else:
         q = Coarsening.identity()
         beliefs1 = [random_density(rng) for _ in slots]
         beliefs2 = list(beliefs1)
 
-    p1 = _placed_profile(space, n, slots, map(Preference, beliefs1, map(Utility, u1)))
-    p2 = _placed_profile(space, n, slots, map(Preference, beliefs2, map(Utility, u2)))
+    # an off-subset value is a convex combination of values in [0, 1], so
+    # each utility's drawn 0 and 1 stay its least and largest values, up
+    # to rounding
+    p1 = _placed_profile(space, n, slots, map(Preference, beliefs1, map(_exact_utility, u1)))
+    p2 = _placed_profile(space, n, slots, map(Preference, beliefs2, map(_exact_utility, u2)))
     return p1, p2, q, outcomes
 
 

@@ -178,6 +178,25 @@ class Density:
             raise ValueError(f"density integrates to {total}, not 1")
         object.__setattr__(self, "_cum", tuple(cum))
 
+    @staticmethod
+    def _derived(breakpoints: tuple[float, ...], values: tuple[float, ...]) -> "Density":
+        """The density of a grid and values derived from checked parts
+        alone, such as a convex combination of checked densities on their
+        merged grid: nothing is checked, and its mass is its parts' mass
+        up to rounding, not checked again against TOL_MEASURE."""
+        # the running sums of `__post_init__`, in the same order
+        cum = [0.0]
+        a = total = 0.0
+        for b, val in zip(breakpoints[1:], values):
+            total += val * (b - a)
+            cum.append(total)
+            a = b
+        out = object.__new__(Density)
+        object.__setattr__(out, "breakpoints", breakpoints)
+        object.__setattr__(out, "values", values)
+        object.__setattr__(out, "_cum", tuple(cum))
+        return out
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
@@ -297,7 +316,10 @@ def merged_breakpoints(densities: Sequence[Density], extra: Iterable[float] = ()
 
 def belief_distance(d1: Density, d2: Density) -> float:
     """sup over events of |P1(E) - P2(E)|: the total mass where d1 exceeds
-    d2 (which equals the mass where d2 exceeds d1)."""
+    d2 (which equals the mass where d2 exceeds d1).  Equal densities are
+    0.0 apart without a walk: every cell's difference would be 0.0."""
+    if d1 == d2:
+        return 0.0
     bps = merged_breakpoints([d1, d2])
     cells = zip(cell_values(d1, bps), cell_values(d2, bps), map(sub, bps[1:], bps))
     deltas = [(x - y) * w for x, y, w in cells]

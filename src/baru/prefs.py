@@ -151,6 +151,15 @@ class Lottery(_LabelledVector):
             raise ValueError("lottery probabilities must sum to one")
         super().__init__(data)
 
+    @staticmethod
+    def _derived(probs: dict[str, float]) -> "Lottery":
+        """The lottery of string labels and masses read off a density:
+        nothing is checked, and its sum is the density's mass up to
+        rounding, not checked again against TOL_MEASURE."""
+        out = Lottery.__new__(Lottery)
+        _LabelledVector.__init__(out, probs)
+        return out
+
 
 def normalize_utility(raw: Mapping[str, float], space: OutcomeSpace) -> Utility | None:
     """Rescale a raw utility to [0, 1]; None stands for the constant
@@ -184,8 +193,8 @@ def _normalized_utility(labels: Sequence[str], vals: Sequence[float]) -> Utility
 
 def _exact_utility(data: dict[str, float]) -> Utility:
     """`Utility(data)` for string labels and finite float values whose
-    minimum is exactly 0 and maximum exactly 1 by construction: its checks
-    cannot fail, so they are skipped."""
+    minimum is 0 and maximum 1 by construction, up to rounding far below
+    TOL_EXACT: its checks cannot fail, so they are skipped."""
     util = Utility.__new__(Utility)
     _LabelledVector.__init__(util, data)
     return util
@@ -316,12 +325,15 @@ class Profile:
     def concerned(self) -> tuple[int, ...]:
         return self._concerned
 
-    def _derived(self, agents: list[Preference]) -> "Profile":
-        """This space with agents that each passed `_checked_concerned`
-        against it, so that nothing is checked again."""
+    @staticmethod
+    def _derived(space: OutcomeSpace, agents: Sequence[Preference]) -> "Profile":
+        """The profile of at least three agents that each passed
+        `_checked_concerned` against the space, or are preferences drawn
+        over its outcomes: nothing is checked again."""
+        agents = tuple(agents)
         out = object.__new__(Profile)
-        object.__setattr__(out, "space", self.space)
-        object.__setattr__(out, "agents", tuple(agents))
+        object.__setattr__(out, "space", space)
+        object.__setattr__(out, "agents", agents)
         object.__setattr__(
             out, "_concerned", tuple([k for k, p in enumerate(agents) if p.belief is not None])
         )
@@ -332,17 +344,17 @@ class Profile:
         agents = list(self.agents)
         agents[agent] = pref
         _checked_concerned(self.space, (pref,), range(len(agents))[agent])
-        return self._derived(agents)
+        return Profile._derived(self.space, agents)
 
     def permuted(self, perm: Sequence[int]) -> "Profile":
         if sorted(perm) != list(range(len(self.agents))):
             raise ValueError("not a permutation of the agents")
-        return self._derived([self.agents[i] for i in perm])
+        return Profile._derived(self.space, [self.agents[i] for i in perm])
 
     def swapped(self, i: int, j: int) -> "Profile":
         agents = list(self.agents)
         agents[i], agents[j] = agents[j], agents[i]
-        return self._derived(agents)
+        return Profile._derived(self.space, agents)
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +376,15 @@ def expected_utility(pref: Preference, act: Act) -> float:
 
 
 def pushforward(act: Act, belief: Density, space: OutcomeSpace) -> Lottery:
-    """Outcome distribution the act induces from the belief."""
+    """Outcome distribution the act induces from the belief, built
+    unchecked (`Lottery._derived`): the act's segments partition [0, 1], so
+    its masses are the belief's."""
     acc = {lab: [] for lab in space.labels}
     for m, (_, _, lab) in zip(interval_masses(belief, act.segments), act.segments):
         if lab not in acc:
             raise ValueError(f"act outcome {lab!r} not in space")
         acc[lab].append(m)
-    return Lottery({lab: fsum(parts) for lab, parts in acc.items()})
+    return Lottery._derived({lab: fsum(parts) for lab, parts in acc.items()})
 
 
 @dataclass(frozen=True)

@@ -120,7 +120,9 @@ def _merge(
     aggregation independent of contributor order.  Each contributor's
     utilities are read once, in the space's label order (a label it lacks
     raises ValueError), and their weighted sums are normalized in that
-    order by the rule `normalize_utility` applies."""
+    order by the rule `normalize_utility` applies.  The society belief is
+    a convex combination of checked beliefs, so it is built unchecked
+    (`Density._derived`): its mass is theirs up to rounding."""
     concerned = profile.concerned
     live = [(i, p, bw, uw) for i, p, bw, uw in contribs if not p.is_indifferent]
     if not live:
@@ -133,7 +135,7 @@ def _merge(
     weights = [w for w, _ in believers]
     # one row per believer, one column per cell of the common grid
     rows = [cell_values(d, bps) for _, d in believers]
-    belief = Density(bps, tuple(_column_sums(weights, rows)))
+    belief = Density._derived(bps, tuple(_column_sums(weights, rows)))
     labels = profile.space.labels
     uws = [uw for _, _, _, uw in live]
     # one row per contributor, one column per outcome

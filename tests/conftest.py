@@ -1,5 +1,9 @@
+import ast
 import builtins
 import random
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -7,11 +11,15 @@ from baru import (
     Act,
     Density,
     INDIFFERENT,
+    Lottery,
     OutcomeSpace,
     Preference,
     Profile,
     Utility,
 )
+from baru import harness
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "baru"
 
 
 @pytest.fixture
@@ -89,3 +97,111 @@ def thin_pair():
     u2 = Utility({lab: y for lab, (_, y) in points.items()})
     profile = Profile(space, (Preference(uniform, u1), Preference(uniform, u2), INDIFFERENT))
     return profile, points
+
+
+@pytest.fixture
+def edge_profile():
+    """A profile file's contents: two agents with different utilities whose
+    beliefs, on different grids, each integrate to 1 + 0.9999999 *
+    TOL_MEASURE.  Rounding puts their mean's mass on the merged grid just
+    past 1 + TOL_MEASURE."""
+    return {
+        "outcomes": ["a", "b", "c", "d"],
+        "agents": [
+            {
+                "belief": {
+                    "breakpoints": [0.0, 0.1875, 0.625, 1.0],
+                    "values": [2.583544526967184, 0.7574132159689841, 0.4912456538859264],
+                },
+                "utility": {"a": 1.0, "b": 0.0, "c": 0.9, "d": 0.0},
+            },
+            {
+                "belief": {
+                    "breakpoints": [0.0, 0.4375, 1.0],
+                    "values": [1.048601794332733, 0.9621986061856518],
+                },
+                "utility": {"a": 0.0, "b": 1.0, "c": 0.8, "d": 0.0},
+            },
+            {"belief": None, "utility": None},
+        ],
+    }
+
+
+def _unchecked_references(tree: ast.AST, module: str) -> set[tuple[str, str, str]]:
+    """(module, enclosing function, builder) for each use of an unchecked
+    builder in the tree: `X._derived` for a class X, or `_exact_utility`."""
+    found = set()
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        if isinstance(node, ast.Attribute) and node.attr == "_derived":
+            owner = node.value.id if isinstance(node.value, ast.Name) else ast.unparse(node.value)
+            found.add((module, ".".join(scope), f"{owner}._derived"))
+        elif isinstance(node, ast.Name) and node.id == "_exact_utility":
+            found.add((module, ".".join(scope), "_exact_utility"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+@pytest.fixture(scope="session")
+def unchecked_references():
+    """Every use of an unchecked builder in the package's source, as
+    (module, enclosing function, builder)."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= _unchecked_references(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def _same_hex(xs, ys) -> bool:
+    return list(map(float.hex, xs)) == list(map(float.hex, ys))
+
+
+@pytest.fixture
+def checked_twins(monkeypatch):
+    """Make every unchecked builder also build its object by the checked
+    constructor from the same parts, and fail unless the two agree in
+    `==` and `hash` (and a density's `_cum` by `float.hex`, a profile's
+    concerned agents), and in `repr` at each site's first 100 builds:
+    `repr` reads only fields that `==` compares, and reading it on every
+    build would triple the time.  `_exact_utility` is compared at the
+    battery draws that use it, not in the rules' normalization.  Returns
+    a Counter of (builder, calling function)."""
+    calls: Counter = Counter()
+    real_density, real_lottery = Density._derived, Lottery._derived
+    real_profile, real_utility = Profile._derived, harness._exact_utility
+
+    def agree(builder: str, got, want):
+        site = builder, sys._getframe(2).f_code.co_name
+        assert got == want and hash(got) == hash(want)
+        if calls[site] < 100:
+            assert repr(got) == repr(want)
+        calls[site] += 1
+        return got
+
+    def density(bps, values):
+        got, want = real_density(bps, values), Density(bps, values)
+        assert _same_hex(got._cum, want._cum)
+        return agree("Density._derived", got, want)
+
+    def lottery(probs):
+        return agree("Lottery._derived", real_lottery(probs), Lottery(probs))
+
+    def profile(space, agents):
+        agents = tuple(agents)
+        got, want = real_profile(space, agents), Profile(space, agents)
+        assert got.concerned == want.concerned
+        return agree("Profile._derived", got, want)
+
+    def utility(data):
+        return agree("_exact_utility", real_utility(data), Utility(data))
+
+    monkeypatch.setattr(Density, "_derived", staticmethod(density))
+    monkeypatch.setattr(Lottery, "_derived", staticmethod(lottery))
+    monkeypatch.setattr(Profile, "_derived", staticmethod(profile))
+    monkeypatch.setattr(harness, "_exact_utility", utility)
+    return calls

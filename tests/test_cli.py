@@ -151,6 +151,16 @@ def test_aggregate_params_file_override(table1_file, tmp_path, capsys):
     assert report["belief_segment_masses"][0][2] == pytest.approx(1.9 / 3, abs=1e-12)
 
 
+@pytest.mark.parametrize("argv", [["aggregate"], ["axiom-report", "--trials", "3"]])
+def test_beliefs_at_the_mass_tolerance_exit_0(edge_profile, tmp_path, capsys, argv):
+    # baru's society belief on this profile integrates past 1 + TOL_MEASURE
+    # by rounding alone; aggregating it and probing the axioms on it succeed
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(edge_profile))
+    assert main([*argv, str(path)]) == 0
+    assert isinstance(json.loads(capsys.readouterr().out), dict)
+
+
 # ---------------------------------------------------------------------------
 # axiom-report
 

@@ -4,6 +4,7 @@ measurable coarsenings."""
 import bisect
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from baru import (
     DyadicPartition,
     EventSet,
     Infeasible,
+    RULE_NAMES,
     TOL_MEASURE,
     belief_distance,
     geometric_pool,
@@ -22,9 +24,10 @@ from baru import (
     measure,
     merged_breakpoints,
     pushforward_coarsening,
+    rule_by_name,
     segment_masses,
 )
-from baru.harness import _merge_pairs_coarsening, _pairflat_density
+from baru.harness import _merge_pairs_coarsening, _pairflat_density, random_profile
 from baru.measure import _values_along, cell_values, common_grid, interval_masses
 
 
@@ -114,6 +117,47 @@ def test_belief_distance_is_total_variation():
     # TV distance: sup over events of the mass gap, attained on [0, 0.5)
     assert belief_distance(d1, d2) == pytest.approx(0.8, abs=1e-12)
     assert belief_distance(d1, d1) == 0.0
+
+
+def test_belief_distance_of_equal_densities_skips_the_grid_walk(monkeypatch):
+    # one object or two equal ones: 0.0, with no walk over a merged grid
+    d = Density((0.0, 0.25, 1.0), (2.0, 2.0 / 3.0))
+
+    def no_walk(*args):
+        raise AssertionError("walked the merged grid")
+
+    monkeypatch.setattr(sys.modules["baru.measure"], "merged_breakpoints", no_walk)
+    for other in (d, Density(d.breakpoints, d.values)):
+        assert belief_distance(d, other).hex() == (0.0).hex()
+
+
+# Each use of `Density._derived`, the unchecked builder: every one derives
+# its density from densities or draws that are valid already.  The CLI,
+# the decoders and `pushforward_coarsening` build checked densities.
+DERIVED_DENSITY_SITES = {
+    ("swf", "_merge"),
+    ("harness", "random_density"),
+    ("harness", "_fiber_tilt"),
+    ("harness", "ira_scenario"),
+    ("axioms", "continuity_probe"),
+}
+
+
+def test_unchecked_densities_are_built_only_at_derivation_sites(unchecked_references):
+    sites = {(m, f) for m, f, builder in unchecked_references if builder == "Density._derived"}
+    assert sites == DERIVED_DENSITY_SITES
+
+
+@pytest.mark.parametrize("n_believers", [1, 2, 3, 4])
+def test_society_beliefs_equal_checked_ones(checked_twins, n_believers):
+    # every rule's society belief of 1 to 4 believers, built unchecked,
+    # against the checked constructor on the same grid and values
+    rng = random.Random(4100 + n_believers)
+    for _ in range(100):
+        profile = random_profile(rng, n_agents=4, n_concerned=n_believers)
+        for name in RULE_NAMES:
+            rule_by_name(name)(profile)
+    assert checked_twins["Density._derived", "_merge"] == 100 * len(RULE_NAMES)
 
 
 def test_lyapunov_event_hits_targets_for_three_densities():

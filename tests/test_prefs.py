@@ -28,7 +28,15 @@ from baru import (
     realize_lottery_act,
     simple_reduction,
 )
-from baru.harness import random_density, random_profile, random_utility
+from baru.axioms import ScenarioRejected, agreement_gap
+from baru.harness import (
+    AXIOM_SPECS,
+    child_seed,
+    profile_from_dict,
+    random_density,
+    random_profile,
+    random_utility,
+)
 from baru.measure import merged_breakpoints, segment_masses
 from baru.prefs import _cut_at_mass, act_value
 
@@ -171,6 +179,59 @@ def test_derived_profiles_equal_checked_ones():
             assert repr(d) == repr(want)
 
 
+# Each use of the unchecked builders of lotteries, profiles and
+# utilities: every one builds from parts that are valid already.
+DERIVED_SITES = {
+    ("prefs", "pushforward", "Lottery._derived"),
+    ("prefs", "Profile.replace", "Profile._derived"),
+    ("prefs", "Profile.permuted", "Profile._derived"),
+    ("prefs", "Profile.swapped", "Profile._derived"),
+    ("prefs", "_normalized_utility", "_exact_utility"),
+    ("harness", "_placed_profile", "Profile._derived"),
+    ("harness", "random_utility", "_exact_utility"),
+    ("harness", "reversal", "_exact_utility"),
+    ("harness", "ira_scenario", "_exact_utility"),
+}
+
+
+def test_unchecked_builders_are_used_only_at_derivation_sites(unchecked_references):
+    assert {ref for ref in unchecked_references if ref[2] != "Density._derived"} == DERIVED_SITES
+    # outside input is checked in full: the CLI, the decoders, and the
+    # coarsened and rescaled beliefs
+    for module, function, _ in unchecked_references:
+        assert module != "cli" and "from_dict" not in function, (module, function)
+        assert function not in ("_preference", "pushforward_coarsening", "discount_to_belief")
+
+
+def test_battery_draws_build_what_the_checked_constructors_build(checked_twins):
+    # 2 000 draws of each battery against baru, and the continuity probe on
+    # each continuity draw, with every unchecked build compared with the
+    # checked one; the callers are the sites above (a builder handed to
+    # map() is called from the loop that consumes it)
+    for axiom, spec in AXIOM_SPECS.items():
+        for t in range(2000):
+            rng = random.Random(child_seed(20240801, f"twins:{axiom}", t))
+            try:
+                scenario = spec.draw(rng, t, baru)
+            except ScenarioRejected:
+                continue
+            if axiom == "continuity":
+                assert spec.check(baru, scenario).satisfied
+    assert set(checked_twins) == {
+        ("Density._derived", "_merge"),
+        ("Density._derived", "random_density"),
+        ("Density._derived", "_fiber_tilt"),
+        ("Density._derived", "ira_scenario"),
+        ("Density._derived", "continuity_probe"),
+        ("Lottery._derived", "pushforward"),
+        ("Profile._derived", "_placed_profile"),
+        ("Profile._derived", "replace"),
+        ("_exact_utility", "random_utility"),
+        ("_exact_utility", "reversal"),
+        ("_exact_utility", "_placed_profile"),
+    }
+
+
 def test_replace_checks_the_incoming_preference():
     p = Preference(Density.uniform(), Utility({lab: float(lab == "a") for lab in SPACE.labels}))
     prof = Profile(SPACE, (p, INDIFFERENT, p))
@@ -234,6 +295,20 @@ def test_pushforward_masses(table1):
     assert lot.value("a") == pytest.approx(0.9, abs=1e-12)
     assert lot.value("b") == pytest.approx(0.1, abs=1e-12)
     assert lot.value("c") == 0.0
+
+
+def test_pushforward_of_a_society_belief_past_the_mass_tolerance(edge_profile):
+    # baru's society belief on this profile integrates past 1 + TOL_MEASURE
+    # by rounding alone; its pushforwards are its masses, unchecked, and
+    # restricted monotonicity's agreement check can compare them
+    profile = profile_from_dict(edge_profile)
+    society = baru(profile).belief
+    assert society.cdf(1.0) - 1.0 > TOL_MEASURE
+    for lab in profile.space.labels:
+        lot = pushforward(Act.constant(lab), society, profile.space)
+        assert lot.as_mapping() == {x: society.cdf(1.0) if x == lab else 0.0 for x in lot.labels}
+        gap = agreement_gap(Act.constant(lab), (society, profile.agents[0].belief), profile.space)
+        assert gap <= 2 * TOL_MEASURE
 
 
 def test_lottery_validation():

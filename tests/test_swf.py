@@ -22,6 +22,7 @@ from baru import (
     Preference,
     Profile,
     RULE_NAMES,
+    TOL_MEASURE,
     Utility,
     WeightedAggregation,
     baru,
@@ -52,7 +53,14 @@ from baru.swf import (
     _pareto_walk,
     ramp_utility,
 )
-from baru.harness import AXIOM_SPECS, child_seed, random_density, random_profile, random_utility
+from baru.harness import (
+    AXIOM_SPECS,
+    child_seed,
+    profile_from_dict,
+    random_density,
+    random_profile,
+    random_utility,
+)
 
 SPACE = OutcomeSpace(("a", "b", "c", "d"))
 
@@ -251,6 +259,19 @@ def test_merge_two_term_utility_overflow_raises(table1):
     contribs = [(i, profile.agents[i], 1.0, 1.5e308) for i in profile.concerned]
     with pytest.raises(OverflowError):
         _merge(profile, contribs)
+
+
+def test_every_rule_aggregates_beliefs_at_the_mass_tolerance(edge_profile):
+    # each belief integrates to 1 + 0.9999999 * TOL_MEASURE, and rounding
+    # puts their mean's mass past 1 + TOL_MEASURE; a society belief derived
+    # from checked beliefs is not checked against TOL_MEASURE again
+    profile = profile_from_dict(edge_profile)
+    for i in profile.concerned:
+        assert 0.9999998 * TOL_MEASURE < profile.agents[i].belief.cdf(1.0) - 1.0 <= TOL_MEASURE
+    assert baru(profile).belief.cdf(1.0) - 1.0 > TOL_MEASURE
+    for name in RULE_NAMES:
+        result = rule_by_name(name)(profile)
+        assert not result.preference.is_indifferent, name
 
 
 # sha256 of repr(rule(p)) over p running through the first 40 anonymity
