@@ -38,6 +38,7 @@ from .prefs import (
     Preference,
     Profile,
     Utility,
+    _exact_utility,
     _normalized_utility,
     compare,
     discount_to_belief,
@@ -623,7 +624,9 @@ def continuity_probe(swf: Swf, profile: Profile, agent: int | None = None) -> Co
         t = 0.0 if scale <= 0.0 else min(1.0, step / scale)
         mixed_vals = tuple([(1.0 - t) * x + t * y for x, y in cells])
         mixed_belief = Density._derived(bps, mixed_vals)
-        mixed_utility = Utility(
+        # u is valid, so its mix with u^2 stays within about 2 * TOL_EXACT
+        # of [0, 1]: a check could only refuse a utility given as valid
+        mixed_utility = _exact_utility(
             {lab: (1.0 - t) * u.value(lab) + t * v[lab] for lab in u.labels}
         )
         moved = swf(profile.replace(target, Preference(mixed_belief, mixed_utility)))

@@ -124,17 +124,6 @@ def geometry_for(
     return ProfileGeometry(ids, labs, bps, masses, utils)
 
 
-def support_values(geom: ProfileGeometry, directions: np.ndarray) -> np.ndarray:
-    """h(c) for each probing direction c."""
-    dirs = np.atleast_2d(directions)
-    S, X, n = geom.tensor.shape
-    # Outcome-major scores (X, S, D): one matrix product, then the max over
-    # outcomes and the sum over segments run along leading axes, which numpy
-    # vectorizes across the directions.
-    scores = (geom.tensor.transpose(1, 0, 2).reshape(X * S, n) @ dirs.T).reshape(X, S, -1)
-    return scores.max(axis=0).sum(axis=0)
-
-
 # One direction on Python floats: the oracle of swf1's Frank-Wolfe, of
 # `attaining_act` and of `ImagePolytope.support_of`.  Every sum is a left
 # fold, never the builtin `sum`, which compensates from Python 3.12 on.
@@ -175,13 +164,46 @@ def attaining_act(geom: ProfileGeometry, direction: Sequence[float]) -> Act:
     )
 
 
-def attained_points(geom: ProfileGeometry, directions: np.ndarray) -> np.ndarray:
-    """EV vector of the attaining act for every direction."""
+# The sampled kernels: `_scores`' arithmetic over many directions at once.
+# Each step is one elementwise ufunc, which numpy neither fuses nor
+# reorders, so no result depends on the host's BLAS kernel.
+
+
+def _folded_scores(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """p . c for each point p (rows of `points`, P of them) and each
+    direction c (rows of `directions`, D of them), shape (P, D): `_scores`'
+    left fold over coordinates from 0.0, 0.0 + c[0] * p[0] + c[1] * p[1]
+    + ..., one multiply and one add per coordinate."""
     dirs = np.atleast_2d(directions)
-    scores = np.einsum("sxn,dn->dsx", geom.tensor, dirs)
-    idx = scores.argmax(axis=2)  # (D, S)
-    S = geom.tensor.shape[0]
-    return geom.tensor[np.arange(S)[None, :], idx, :].sum(axis=1)
+    scores = np.zeros((points.shape[0], dirs.shape[0]))
+    for i in range(points.shape[1]):
+        scores = scores + np.multiply.outer(points[:, i], dirs[:, i])
+    return scores
+
+
+def _sampled_scores(geom: ProfileGeometry, directions: np.ndarray) -> np.ndarray:
+    """The scores of every contribution point in every direction, as
+    `_scores` gives them one direction at a time, outcome-major, shape
+    (X, S, D): the max and argmax over outcomes then run along the leading
+    axis, elementwise across segments and directions."""
+    S, X, n = geom.tensor.shape
+    points = geom.tensor.transpose(1, 0, 2).reshape(X * S, n)
+    return _folded_scores(points, directions).reshape(X, S, -1)
+
+
+def support_values(geom: ProfileGeometry, directions: np.ndarray) -> np.ndarray:
+    """h(c) for each probing direction c: each segment's highest score,
+    folded left over segments as `support_of` folds them, so each value is
+    `support_of` of its direction bit for bit."""
+    return reduce(add, _sampled_scores(geom, directions).max(axis=0))
+
+
+def attained_points(geom: ProfileGeometry, directions: np.ndarray) -> np.ndarray:
+    """EV vector of the attaining act for every direction: each segment's
+    first point of highest score, as `_picks` takes it, folded left over
+    segments, so each row is `_best_vertex` of its direction bit for bit."""
+    picks = _sampled_scores(geom, directions).argmax(axis=0)  # (S, D)
+    return reduce(add, geom.tensor[np.arange(picks.shape[0])[:, None], picks])
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +356,8 @@ class ImagePolytope:
             return lo - tol <= float(point[0]) <= hi + tol
         if self.dimension == 2:
             return _nearest_point(self.vertices, (float(point[0]), float(point[1])))[0] <= tol
-        p = np.asarray(point, dtype=float)
-        dirs = np.asarray(self.directions)
-        return bool(np.all(dirs @ p <= np.asarray(self.support) + tol))
+        scores = _folded_scores(np.asarray([point], dtype=float), np.asarray(self.directions))
+        return bool(np.all(scores[0] <= np.asarray(self.support) + tol))
 
 
 def _nearest_point(

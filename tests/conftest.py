@@ -17,7 +17,7 @@ from baru import (
     Profile,
     Utility,
 )
-from baru import harness
+from baru import axioms, harness
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "baru"
 
@@ -100,6 +100,18 @@ def thin_pair():
 
 
 @pytest.fixture
+def utility_near_one():
+    """A profile whose agent 0 has a uniform belief and a utility 9e-13
+    past 1 at b, inside TOL_EXACT: its square is 1.8e-12 past 1, so a mix
+    of the two can fail the Utility constructor's check."""
+    space = OutcomeSpace(("a", "b", "c", "d"))
+    u0 = Utility({"a": 0.0, "b": 1.0000000000009, "c": 0.0, "d": 1.0})
+    u1 = Utility({"a": 0.0, "b": 1.0, "c": 0.8, "d": 0.0})
+    p1 = Preference(Density((0.0, 0.5, 1.0), (0.2, 1.8)), u1)
+    return Profile(space, (Preference(Density.uniform(), u0), p1, INDIFFERENT))
+
+
+@pytest.fixture
 def edge_profile():
     """A profile file's contents: two agents with different utilities whose
     beliefs, on different grids, each integrate to 1 + 0.9999999 *
@@ -169,8 +181,8 @@ def checked_twins(monkeypatch):
     concerned agents), and in `repr` at each site's first 100 builds:
     `repr` reads only fields that `==` compares, and reading it on every
     build would triple the time.  `_exact_utility` is compared at the
-    battery draws that use it, not in the rules' normalization.  Returns
-    a Counter of (builder, calling function)."""
+    battery draws and the continuity probe that use it, not in the rules'
+    normalization.  Returns a Counter of (builder, calling function)."""
     calls: Counter = Counter()
     real_density, real_lottery = Density._derived, Lottery._derived
     real_profile, real_utility = Profile._derived, harness._exact_utility
@@ -204,4 +216,5 @@ def checked_twins(monkeypatch):
     monkeypatch.setattr(Lottery, "_derived", staticmethod(lottery))
     monkeypatch.setattr(Profile, "_derived", staticmethod(profile))
     monkeypatch.setattr(harness, "_exact_utility", utility)
+    monkeypatch.setattr(axioms, "_exact_utility", utility)
     return calls

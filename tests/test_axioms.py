@@ -993,6 +993,13 @@ def test_continuity_multiplicity_rule_jumps(table1):
     assert rep.flag_pair is not None
 
 
+def test_continuity_probe_takes_a_utility_at_the_exact_tolerance(utility_near_one):
+    # u and u^2 mix past 1 + TOL_EXACT at b; the probe builds the mix
+    # unchecked, as it builds the mixed belief
+    rep = continuity_probe(baru, utility_near_one, 0)
+    assert rep.agent == 0 and len(rep.rows) == 4 and not rep.flagged
+
+
 def test_continuity_requires_two_concerned(table1):
     profile, _, _ = table1
     solo = Profile(SPACE, (profile.agents[0], INDIFFERENT, INDIFFERENT))

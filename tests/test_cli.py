@@ -161,6 +161,16 @@ def test_beliefs_at_the_mass_tolerance_exit_0(edge_profile, tmp_path, capsys, ar
     assert isinstance(json.loads(capsys.readouterr().out), dict)
 
 
+def test_axiom_report_on_a_utility_at_the_exact_tolerance(utility_near_one, tmp_path, capsys):
+    # the continuity probe of scenario zero mixes this utility with its
+    # square past 1 + TOL_EXACT, and still reports
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(profile_as_dict(utility_near_one)))
+    assert main(["axiom-report", "--trials", "3", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert isinstance(json.loads(out), dict) and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # axiom-report
 
@@ -718,8 +728,9 @@ _PIN_FILES = {
 }
 
 # sha256 of [exit code, stdout, stderr], first 16 hex digits.  Written CSV
-# and SVG files are left out: their support rows come from numpy's matmul,
-# whose bits depend on the BLAS kernel.
+# and SVG files are left out: the CSV's direction columns, and the support
+# rows taken at them, come from numpy's cos and sin in `direction_set`,
+# whose bits depend on numpy's build.
 _PINNED_CALLS = [
     ("aggregate table1.json", "27a4fd2be642cbf7"),
     ("aggregate table1.json --acts acts.json", "0235633fc53cc3c7"),

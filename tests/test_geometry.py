@@ -1,9 +1,11 @@
 """Image polytope: support function, attaining acts, exact two-agent
 polygon versus a brute-force grid oracle, and restrictions."""
 
+import ast
 import itertools
 import math
 from math import atan2, pi
+from pathlib import Path
 import random
 
 import numpy as np
@@ -23,7 +25,9 @@ from baru import (
 )
 from baru.geometry import (
     ProfileGeometry,
+    _best_vertex,
     _hull2d,
+    _scores,
     attained_points,
     attaining_act,
     direction_set,
@@ -112,8 +116,8 @@ def _support_reference(geom, dirs):
 
 
 def test_support_values_match_reference(rng):
-    # the kernel sums in another order than the reference (and may fuse
-    # multiply-adds), so agreement is to a few ulps of values at most S
+    # the kernel sums in another order than the reference's einsum, so
+    # agreement is to a few ulps of values at most S
     for n_concerned in (1, 2, 3, 4):
         profile = random_profile(rng, space=SPACE, n_agents=4, n_concerned=n_concerned)
         geom = geometry_for(profile)
@@ -462,6 +466,37 @@ def test_attained_points_match_loop(table1, rng):
         geom = geometry_for(prof)
         dirs = direction_set(geom.dimension)
         assert np.array_equal(attained_points(geom, dirs), _attained_points_reference(geom, dirs))
+
+
+def test_sampled_kernels_fold_as_the_one_direction_oracle():
+    # h(c) has one arithmetic: at every sampled direction the polytope's
+    # support row is support_of's bits, and each attained point is the
+    # oracle's vertex, over 200 profiles at 1-4 concerned agents
+    rng = random.Random(2626)
+    for n in [1, 2, 3, 4] * 50:
+        poly = image_polytope(random_profile(rng, space=SPACE, n_agents=4, n_concerned=n))
+        geom = poly.geometry
+        assert [h.hex() for h in poly.support] == [
+            poly.support_of(d).hex() for d in poly.directions
+        ]
+        if n >= 2:
+            X = len(geom.labels)
+            got = attained_points(geom, direction_set(n)).tolist()
+            want = [_best_vertex(geom.rows, X, _scores(geom.rows, d)) for d in poly.directions]
+            assert [[v.hex() for v in p] for p in got] == [[v.hex() for v in p] for p in want]
+
+
+def test_geometry_has_no_matrix_product():
+    # every score is an elementwise fold (`_folded_scores`): no product
+    # that a BLAS kernel or einsum could sum in its own order
+    tree = ast.parse(Path(geometry_module.__file__).read_text())
+    banned = {"einsum", "dot", "matmul", "tensordot"}
+    for node in ast.walk(tree):
+        assert not isinstance(node, ast.MatMult), ast.dump(node)
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in banned, node.attr
+        if isinstance(node, ast.Name):
+            assert node.id not in banned, node.id
 
 
 class _NoNumpy:

@@ -191,6 +191,7 @@ DERIVED_SITES = {
     ("harness", "random_utility", "_exact_utility"),
     ("harness", "reversal", "_exact_utility"),
     ("harness", "ira_scenario", "_exact_utility"),
+    ("axioms", "continuity_probe", "_exact_utility"),
 }
 
 
@@ -229,6 +230,7 @@ def test_battery_draws_build_what_the_checked_constructors_build(checked_twins):
         ("_exact_utility", "random_utility"),
         ("_exact_utility", "reversal"),
         ("_exact_utility", "_placed_profile"),
+        ("_exact_utility", "continuity_probe"),
     }
 
 
