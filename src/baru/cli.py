@@ -248,16 +248,17 @@ def render_svg(
 
 
 def polytope_csv(full: ImagePolytope, restricted: ImagePolytope | None = None) -> str:
-    """Vertex and support rows, one polytope set per block."""
-    rows = ["set,kind,x1,x2,x3,value"]
+    """Vertex and support rows, one polytope set per block, with columns
+    x1 to xk for k the larger of 3 and the image's dimension."""
+    k = max(3, full.dimension)
+    rows = ["set,kind," + ",".join(f"x{j}" for j in range(1, k + 1)) + ",value"]
 
     def block(tag: str, poly: ImagePolytope) -> None:
+        pad = [""] * (k - poly.dimension)
         for v in poly.vertices or ():
-            coords = list(v) + [""] * (3 - len(v))
-            rows.append(f"{tag},vertex,{coords[0]},{coords[1]},{coords[2]},")
+            rows.append(",".join([tag, "vertex", *map(str, v), *pad, ""]))
         for d, h in zip(poly.directions, poly.support):
-            coords = list(d) + [""] * (3 - len(d))
-            rows.append(f"{tag},support,{coords[0]},{coords[1]},{coords[2]},{h!r}")
+            rows.append(",".join([tag, "support", *map(str, d), *pad, repr(h)]))
 
     block("full", full)
     if restricted is not None:

@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .lp import feasible_point
 from .measure import Coarsening, TOL_MEASURE, common_grid, pushforward_coarsening
 from .prefs import Act, Profile
 
@@ -169,26 +170,18 @@ def attaining_act(geom: ProfileGeometry, direction: Sequence[float]) -> Act:
 # reorders, so no result depends on the host's BLAS kernel.
 
 
-def _folded_scores(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """p . c for each point p (rows of `points`, P of them) and each
-    direction c (rows of `directions`, D of them), shape (P, D): `_scores`'
-    left fold over coordinates from 0.0, 0.0 + c[0] * p[0] + c[1] * p[1]
-    + ..., one multiply and one add per coordinate."""
-    dirs = np.atleast_2d(directions)
-    scores = np.zeros((points.shape[0], dirs.shape[0]))
-    for i in range(points.shape[1]):
-        scores = scores + np.multiply.outer(points[:, i], dirs[:, i])
-    return scores
-
-
 def _sampled_scores(geom: ProfileGeometry, directions: np.ndarray) -> np.ndarray:
     """The scores of every contribution point in every direction, as
-    `_scores` gives them one direction at a time, outcome-major, shape
+    `_scores` gives them one direction at a time (a left fold over agents
+    from 0.0, one multiply and one add per agent), outcome-major, shape
     (X, S, D): the max and argmax over outcomes then run along the leading
     axis, elementwise across segments and directions."""
     S, X, n = geom.tensor.shape
     points = geom.tensor.transpose(1, 0, 2).reshape(X * S, n)
-    return _folded_scores(points, directions).reshape(X, S, -1)
+    scores = np.zeros((X * S, directions.shape[0]))
+    for i in range(n):
+        scores = scores + np.multiply.outer(points[:, i], directions[:, i])
+    return scores.reshape(X, S, -1)
 
 
 def support_values(geom: ProfileGeometry, directions: np.ndarray) -> np.ndarray:
@@ -323,9 +316,10 @@ def minkowski_polygon(geom: ProfileGeometry) -> tuple[tuple[float, float], ...]:
 
 @dataclass(frozen=True)
 class ImagePolytope:
-    """Support-function view of the image, with exact vertices in one and
-    two dimensions and vertices recovered by the rotating-direction sweep
-    in three."""
+    """Support-function view of the image, sampled at `directions`, with
+    exact vertices in one and two dimensions and the vertices the
+    rotating-direction sweep reaches in three.  `support_of`,
+    `attaining_act` and `contains` sample nothing, at every dimension."""
 
     agent_ids: tuple[int, ...]
     labels: tuple[str, ...]
@@ -347,17 +341,21 @@ class ImagePolytope:
     def attaining_act(self, direction: Sequence[float]) -> Act:
         return attaining_act(self.geometry, direction)
 
-    def contains(self, point: Sequence[float], tol: float = TOL_MEASURE) -> bool:
-        """Whether the point lies within `tol` of the image: exactly against
-        the vertices in one and two dimensions, against the sampled support
-        half-planes in three or more."""
-        if self.dimension == 1:
-            (lo,), (hi,) = self.vertices
-            return lo - tol <= float(point[0]) <= hi + tol
-        if self.dimension == 2:
-            return _nearest_point(self.vertices, (float(point[0]), float(point[1])))[0] <= tol
-        scores = _folded_scores(np.asarray([point], dtype=float), np.asarray(self.directions))
-        return bool(np.all(scores[0] <= np.asarray(self.support) + tol))
+    def contains(self, point: Sequence[float]) -> bool:
+        """Whether the point lies within `TOL_MEASURE` of the image in
+        every coordinate: one allocation LP on the geometry's rows, with
+        fractions lam[s * X + x] in [0, 1] that sum to 1 in each segment,
+        and for each agent i the row sum_k rows[i][k] * lam[k] + up_i -
+        down_i = point[i], both slacks in [0, TOL_MEASURE]."""
+        n, X, rows = self.dimension, len(self.labels), self.geometry.rows
+        if len(point) != n:
+            raise ValueError(f"point has {len(point)} coordinates, the image {n}")
+        K = len(rows[0])
+        eye = [[float(i == j) for j in range(n)] for i in range(n)]
+        A = [[float(k // X == s) for k in range(K)] + [0.0] * (2 * n) for s in range(K // X)]
+        A += [row + e + [-v for v in e] for row, e in zip(rows, eye)]
+        b = [1.0] * (K // X) + [float(v) for v in point]
+        return feasible_point(A, b, [1.0] * K + [TOL_MEASURE] * (2 * n)) is not None
 
 
 def _nearest_point(
@@ -426,7 +424,11 @@ def image_polytope(
 ) -> ImagePolytope:
     """Image polytope of the profile's concerned agents, optionally
     restricted to acts that factor through a coarsening and/or use only a
-    subset of the outcomes."""
+    subset of the outcomes.  At three agents the vertices are the sweep's
+    attained points, deduped by equality: `attained_points` folds a
+    direction's picks in one order, so every direction that picks the same
+    outcome in each segment lands on the same bits.  Above three agents
+    there are no vertices."""
     coarsening, labels = restriction if restriction is not None else (None, None)
     geom = geometry_for(profile, coarsening, labels)
     dirs = direction_set(geom.dimension)
@@ -439,14 +441,7 @@ def image_polytope(
     elif geom.dimension == 2:
         vertices = minkowski_polygon(geom)
     elif geom.dimension == 3:
-        # each sweep direction lands on a vertex; dedupe at the measure
-        # tolerance (resolution is bounded by the direction set)
-        seen: list[tuple[float, float, float]] = []
-        for p in attained_points(geom, dirs):
-            q = (float(p[0]), float(p[1]), float(p[2]))
-            if not any(max(abs(q[k] - s[k]) for k in range(3)) <= TOL_MEASURE for s in seen):
-                seen.append(q)
-        vertices = tuple(sorted(seen))
+        vertices = tuple(sorted(set(map(tuple, attained_points(geom, dirs).tolist()))))
     return ImagePolytope(
         geom.agent_ids,
         geom.labels,

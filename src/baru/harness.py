@@ -323,10 +323,15 @@ def profile_from_dict(data: Mapping) -> Profile:
     """Inverse of `profile_as_dict`, and the decoder of the CLI's profile
     files: witnesses and files share it.  Agent entries decode as in
     `preference_from_dict`, with the profile's top-level `grid`.  A bad
-    outcome list or agent entry raises `DecodeError` saying which; other
-    malformed input raises KeyError, TypeError or ValueError."""
+    outcome list, anything but a list included (a string is not read as
+    one label per character), or a bad agent entry raises `DecodeError`
+    saying which; other malformed input raises KeyError, TypeError or
+    ValueError."""
     try:
-        space = OutcomeSpace(tuple(str(x) for x in data["outcomes"]))
+        outcomes = data["outcomes"]
+        if not isinstance(outcomes, list):
+            raise TypeError(f"outcomes must be a list, got {type(outcomes).__name__}")
+        space = OutcomeSpace(tuple(str(x) for x in outcomes))
     except (KeyError, TypeError, ValueError) as exc:
         raise DecodeError("invalid outcome space", str(exc)) from exc
     grid = _grid(data)

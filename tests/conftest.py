@@ -79,6 +79,28 @@ def thin_gap():
 
 
 @pytest.fixture
+def thin_gap_three():
+    """Three uniform-belief agents whose outcome d sits 0.01 beyond the
+    centroid of b, c and e along the outward unit normal of their facet
+    of the hull of a, b, c and e: dropping d shrinks the image only near
+    that normal."""
+    space = OutcomeSpace(("a", "b", "c", "d", "e"))
+    points = {"a": (0.0, 0.0, 0.0), "b": (1.0, 0.2, 0.3), "c": (0.3, 1.0, 0.2), "e": (0.2, 0.3, 1.0)}
+    b, c, e = points["b"], points["c"], points["e"]
+    u = [y - x for x, y in zip(b, c)]
+    v = [y - x for x, y in zip(b, e)]
+    cross = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+    norm = (cross[0] ** 2 + cross[1] ** 2 + cross[2] ** 2) ** 0.5
+    n = tuple(x / norm for x in cross)  # points away from a, the origin
+    points["d"] = tuple((x + y + z) / 3.0 + 0.01 * w for x, y, z, w in zip(b, c, e, n))
+    uniform = Density((0.0, 1.0), (1.0,))
+    agents = tuple(
+        Preference(uniform, Utility({lab: p[i] for lab, p in points.items()})) for i in range(3)
+    )
+    return Profile(space, agents), points["d"]
+
+
+@pytest.fixture
 def thin_pair():
     """Two uniform-belief agents whose outcome c makes a thin turn: the
     hull's turn v -> c -> a has a cross product of 5e-15, below 1e-14, but

@@ -407,6 +407,39 @@ def test_image_three_agents_csv_only(tmp_path, capsys):
     assert not both.exists() and not (tmp_path / "both.svg").exists()
 
 
+def test_image_four_agents_csv_keeps_every_coordinate(tmp_path, capsys):
+    # each support row holds its whole 4-vector, so its direction has unit
+    # norm and pairs with h of that vector
+    data = _with()
+    data["agents"] = data["agents"][:2] + [
+        {"belief": {"values": [1.0, 1.0]}, "utility": {"a": 0, "b": 0, "c": 1, "d": 1}},
+        {"belief": {"values": [0.5, 1.5]}, "utility": {"a": 0.2, "b": 1, "c": 0, "d": 0.6}},
+    ]
+    path = _write(tmp_path, "four.json", data)
+    csv = tmp_path / "img.csv"
+    assert main(["image", path, "--csv", str(csv)]) == 0
+    assert json.loads(capsys.readouterr().out)["dimension"] == 4
+    header, *rows = csv.read_text().splitlines()
+    assert header == "set,kind,x1,x2,x3,x4,value"
+    assert rows and all(len(r.split(",")) == 7 for r in rows)
+    for r in rows:
+        tag, kind, *coords, value = r.split(",")
+        assert (tag, kind) == ("full", "support") and value
+        assert math.fsum(float(c) ** 2 for c in coords) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("command", ["aggregate", "image"])
+def test_string_outcome_list_is_refused(tmp_path, capsys, command):
+    # "abcd" is not read as the outcomes a, b, c and d
+    path = _write(tmp_path, "letters.json", _with(outcomes="abcd"))
+    rc = main([command, path])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    (line,) = captured.err.splitlines()
+    diag = json.loads(line)
+    assert diag["error"] == "invalid outcome space" and diag["file"] == path
+
+
 @pytest.mark.parametrize("orient", [1.7, -1.5])
 def test_image_restrict_refuses_non_integral_orient(table1_file, tmp_path, capsys, orient):
     qfile = _write(tmp_path, "q.json", {"pieces": [[0, 1, 0, 1, orient]]})

@@ -39,6 +39,7 @@ from baru.geometry import (
 from baru import geometry as geometry_module
 from baru.axioms import Refused, certify_coredundancy
 from baru.harness import random_profile
+from baru.measure import TOL_MEASURE
 from baru.swf import swf1
 
 SPACE = OutcomeSpace(("a", "b", "c", "d"))
@@ -348,6 +349,50 @@ def test_contains_one_agent_interval():
     assert not poly.contains((-1e-6,))
 
 
+def test_contains_is_exact_in_three_dimensions(thin_gap_three):
+    # d lies 0.01 outside the image without it, beyond a facet that no
+    # sampled half-plane of the sweep pins down
+    profile, d = thin_gap_three
+    assert image_polytope(profile).contains(d)
+    without_d = image_polytope(profile, (None, ("a", "b", "c", "e")))
+    assert not without_d.contains(d)
+
+
+def test_contains_refuses_a_point_of_the_wrong_length(table1):
+    profile, _, _ = table1
+    three = random_profile(random.Random(27), space=SPACE, n_agents=3, n_concerned=3)
+    for prof in (profile.replace(1, INDIFFERENT), profile, three):
+        poly = image_polytope(prof)
+        for k in (poly.dimension - 1, poly.dimension + 1):
+            with pytest.raises(ValueError, match="coordinates"):
+                poly.contains((0.0,) * k)
+
+
+def _tolerance_dedupe(geom):
+    """The sweep's attained points deduped by comparing each with every
+    vertex kept, at TOL_MEASURE in every coordinate: the reference for the
+    dedupe by equality."""
+    seen = []
+    for p in attained_points(geom, direction_set(3)):
+        q = (float(p[0]), float(p[1]), float(p[2]))
+        if not any(max(abs(q[k] - s[k]) for k in range(3)) <= TOL_MEASURE for s in seen):
+            seen.append(q)
+    return tuple(sorted(seen))
+
+
+def test_three_agent_vertices_equal_the_tolerance_dedupe():
+    # every direction of a vertex's normal cone attains the same bits, so
+    # equality finds the vertices the tolerance loop finds; every fourth
+    # profile has twin agents, whose image is flat
+    rng = random.Random(2727)
+    for k in range(300):
+        profile = random_profile(rng, space=SPACE, n_agents=3, n_concerned=3)
+        if k % 4 == 0:
+            profile = profile.replace(1, profile.agents[0])
+        poly = image_polytope(profile)
+        assert poly.vertices == _tolerance_dedupe(poly.geometry)
+
+
 def test_single_agent_image_is_segment():
     pref = Preference(
         Density.from_state_probs((0.25, 0.75)),
@@ -393,7 +438,7 @@ def test_three_agent_vertices_are_attained_and_deduped(rng):
     assert poly.dimension == 3
     assert poly.vertices
     for v in poly.vertices:
-        assert poly.contains(v, tol=1e-9)
+        assert poly.contains(v)
     for v, w in itertools.combinations(poly.vertices, 2):
         assert max(abs(a - b) for a, b in zip(v, w)) > 1e-9
 
@@ -487,7 +532,7 @@ def test_sampled_kernels_fold_as_the_one_direction_oracle():
 
 
 def test_geometry_has_no_matrix_product():
-    # every score is an elementwise fold (`_folded_scores`): no product
+    # every score is an elementwise fold (`_sampled_scores`): no product
     # that a BLAS kernel or einsum could sum in its own order
     tree = ast.parse(Path(geometry_module.__file__).read_text())
     banned = {"einsum", "dot", "matmul", "tensordot"}
